@@ -2,9 +2,9 @@
 
 The op set is deliberately small: exactly what the deep archetypal model
 needs (matmul, add with row-bias broadcast, elementwise arithmetic, relu,
-tanh, exp, log, square, row softmax, transpose, clamp, reductions, concat,
-slice). Graphs are built eagerly; ``backward`` on a scalar node runs the
-chain rule over a topological order. Double backward is not supported.
+tanh, exp, square, clamp, row softmax, transpose and sum). Graphs are built
+eagerly; ``backward`` on a scalar node runs the chain rule over a
+topological order. Double backward is not supported.
 """
 
 from __future__ import annotations
@@ -171,15 +171,6 @@ def exp(a: Node) -> Node:
     return out
 
 
-def log(a: Node) -> Node:
-    out = Node(np.log(a.value), (a,))
-
-    def backprop():
-        a.grad += out.grad / a.value
-    out._backprop = backprop
-    return out
-
-
 def square(a: Node) -> Node:
     out = Node(a.value**2, (a,))
 
@@ -230,43 +221,5 @@ def reduce_sum(a: Node) -> Node:
 
     def backprop():
         a.grad += out.grad
-    out._backprop = backprop
-    return out
-
-
-def reduce_mean(a: Node) -> Node:
-    n = a.value.size
-    out = Node(a.value.mean(), (a,))
-
-    def backprop():
-        a.grad += out.grad / n
-    out._backprop = backprop
-    return out
-
-
-def concat(nodes, axis: int = 1) -> Node:
-    nodes = [_wrap(n) for n in nodes]
-    out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-
-    def backprop():
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.grad.ndim
-            idx[axis] = slice(lo, hi)
-            node.grad += out.grad[tuple(idx)]
-    out._backprop = backprop
-    return out
-
-
-def narrow(a: Node, axis: int, start: int, stop: int) -> Node:
-    """Contiguous slice along one axis."""
-    idx = [slice(None)] * a.value.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Node(a.value[idx], (a,))
-
-    def backprop():
-        a.grad[idx] += out.grad
     out._backprop = backprop
     return out

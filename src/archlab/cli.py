@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, deep_aa, linear_aa, model_selection, prob_aa
+from . import datasets, deep_aa, linear_aa, model_selection
 from .errors import (
     ArchlabError,
     DegenerateError,
@@ -31,7 +31,7 @@ from .errors import (
     SchemaVersionError,
     ShapeError,
 )
-from .numerics import pca_fit, pca_project
+from .numerics import MAX_MATCH_ROWS, pca_fit, pca_project
 from .svg import SvgChart
 
 EXIT_OK = 0
@@ -50,6 +50,7 @@ def _git_describe() -> str:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -120,22 +121,8 @@ def cmd_gen_data(args) -> int:
             w=side_info.get("w"),
         )
     out = _ensure_dir(args.out)
-    header = list(ds.columns)
-    body = ds.x
-    if ds.labels is not None:
-        header += ["label"]
-        body = np.hstack([ds.x, ds.labels[:, None]])
-    datasets.write_matrix_csv(body, header, str(out / "X.csv"))
-    outputs = [out / "X.csv"]
-    if ds.a_true is not None:
-        k = ds.a_true.shape[1]
-        datasets.write_matrix_csv(ds.a_true, [f"a{j}" for j in range(k)],
-                                  str(out / "atrue.csv"))
-        outputs.append(out / "atrue.csv")
-    if ds.z_true is not None:
-        datasets.write_matrix_csv(ds.z_true, list(ds.columns),
-                                  str(out / "ztrue.csv"))
-        outputs.append(out / "ztrue.csv")
+    datasets.write_csv(ds, str(out / "X.csv"))
+    outputs = [out / "X.csv", out / "X.atrue.csv", out / "X.ztrue.csv"]
     config = spec.to_dict()
     if side_info is not None:
         config["side_info"] = side_info
@@ -146,16 +133,9 @@ def cmd_gen_data(args) -> int:
 
 
 def _read_dataset_dir_or_file(path: str) -> datasets.Dataset:
+    """A dataset file, or the ``X.csv`` in a directory written by gen-data."""
     p = Path(path)
-    if p.is_dir():
-        ds = datasets.read_csv(str(p / "X.csv"))
-        apath, zpath = p / "atrue.csv", p / "ztrue.csv"
-        if ds.a_true is None and apath.exists():
-            ds.a_true, _ = datasets.read_matrix_csv(str(apath))
-        if ds.z_true is None and zpath.exists():
-            ds.z_true, _ = datasets.read_matrix_csv(str(zpath))
-        return ds
-    return datasets.read_csv(str(p))
+    return datasets.read_csv(str(p / "X.csv" if p.is_dir() else p))
 
 
 def cmd_fit_linear(args) -> int:
@@ -235,17 +215,22 @@ def cmd_fit_deep(args) -> int:
         str(out / "latent_scatter.csv"),
     )
     outputs = [out / "model.json", out / "history.csv", out / "latent_scatter.csv"]
+    config = {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
+              "side_info": bool(args.side_info)}
     if ds.z_true is not None and ds.z_true.shape[0] == arch.k:
-        report = deep_aa.vertex_recovery_report(model, ds)
-        datasets.atomic_write_text(
-            str(out / "vertex_recovery.json"),
-            json.dumps(report, indent=1, sort_keys=True) + "\n",
-        )
-        outputs.append(out / "vertex_recovery.json")
-    _write_manifest(out, "fit-deep",
-                    {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
-                     "side_info": bool(args.side_info)},
-                    {"seed": hyper.seed}, [args.data], outputs, started)
+        if arch.k > MAX_MATCH_ROWS:
+            config["vertex_recovery_skipped"] = (
+                f"k={arch.k} exceeds the {MAX_MATCH_ROWS} rows that "
+                "exhaustive matching supports")
+        else:
+            report = deep_aa.vertex_recovery_report(model, ds)
+            datasets.atomic_write_text(
+                str(out / "vertex_recovery.json"),
+                json.dumps(report, indent=1, sort_keys=True) + "\n",
+            )
+            outputs.append(out / "vertex_recovery.json")
+    _write_manifest(out, "fit-deep", config, {"seed": hyper.seed},
+                    [args.data], outputs, started)
     return EXIT_OK
 
 
@@ -259,12 +244,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_json(args.config, "sweep config") if args.config else None
     curve = model_selection.sweep(ds, ks, fit=args.fit, cfg=cfg, seed=args.seed)
     out = _ensure_dir(args.out)
-    rows = model_selection.curve_rows(curve)
-    datasets.write_matrix_csv(np.array([[float(k), l] for k, l in rows]),
-                              ["k", "loss"], str(out / "curve.csv"))
+    rows = np.array([[float(k), l] for k, l in model_selection.curve_rows(curve)])
+    datasets.write_matrix_csv(rows.reshape(-1, 2), ["k", "loss"],
+                              str(out / "curve.csv"))
     _write_manifest(out, "sweep",
                     {"ks": ks, "fit": args.fit, "config": cfg,
-                     "chosen_k": curve.chosen_k},
+                     "chosen_k": curve.chosen_k, "failures": curve.failures},
                     {"seed": args.seed}, [args.data], [out / "curve.csv"],
                     started)
     return EXIT_OK

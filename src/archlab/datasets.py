@@ -2,8 +2,11 @@
 
 Datasets are written as plain CSV (comma separator, ``.`` decimal point,
 LF line endings) with a header row ``x0..x{p-1}[,label]``. Ground truth
-lives in sidecar files (``*.atrue.csv``, ``*.ztrue.csv``). Numbers are
-serialized with 17 significant digits so round-trips are bit-exact.
+lives next to the data file ``<stem>.csv`` in the sidecar files
+``<stem>.atrue.csv`` (mixture weights A, header ``a0..a{k-1}``) and
+``<stem>.ztrue.csv`` (archetypes Z, the data's header), so ``archlab
+gen-data`` writes ``X.csv``, ``X.atrue.csv`` and ``X.ztrue.csv``. Numbers
+are serialized with 17 significant digits so round-trips are bit-exact.
 Models are serialized as versioned JSON.
 """
 
@@ -144,7 +147,6 @@ def make_archetypes(spec: SyntheticSpec) -> np.ndarray:
     subspace, rotated into p dimensions (all seeded)."""
     rng = rng_create(spec.embed_seed)
     if spec.k == 1:
-        lat = np.zeros((1, 1))
         basis = _embedding(spec.p, 1, spec.embed_seed + 1)
         return ARCHETYPE_SCALE * rng.standard_normal((1, 1)) @ basis
     frame = simplex_vertices(spec.k)

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericalError, ParameterError, ShapeError
+from .errors import MissingGroundTruth, NumericalError, ParameterError, ShapeError
 from .nn import Adam, Mlp
-from .numerics import SimplexFrame, rng_create, simplex_vertices
+from .numerics import (SimplexFrame, best_assignment, match_rows, rng_create,
+                       simplex_vertices)
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -365,13 +366,11 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             yb = None if y is None else y[idx]
             lam = _lambda_at(hyper, step, scheduled=model.has_side)
             noise = rng.standard_normal((xb.shape[0], model.arch.latent_dim))
-            snapshot = [p.value.copy() for p in opt.params]
             total, parts, x_hat = model._objective(xb, yb, lam, noise)
             if not np.isfinite(total.value):
-                for p, saved in zip(opt.params, snapshot):
-                    p.value[...] = saved
                 raise NumericalError(
-                    f"non-finite loss at step {step}; last good parameters kept"
+                    f"non-finite loss at step {step}; the parameters are left "
+                    "as they were before this step"
                 )
             opt.zero_grad()
             total.backward()
@@ -432,13 +431,9 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
     Row i of ``generation_decoded`` is the one-hot generation matched to
     true archetype i (``generation_true`` row i), so a large entry of
     ``generation_mean_abs_errors`` can be traced to the coordinates that
-    miss. Needs dataset.z_true with the same k as the model.
+    miss. Needs dataset.z_true with the same k as the model, and k at most
+    ``numerics.MAX_MATCH_ROWS``.
     """
-    from itertools import permutations
-
-    from .errors import MissingGroundTruth
-    from .numerics import match_rows
-
     if dataset.z_true is None:
         raise MissingGroundTruth("vertex recovery needs Z_true")
     z_true = np.asarray(dataset.z_true, float)
@@ -454,12 +449,8 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
     ])
     _, _, _, mu = model.encode(dataset.x[nearest])
     dist = np.linalg.norm(mu[:, None, :] - model.frame.vertices[None, :, :], axis=2)
-    best_perm, best_total = None, np.inf
-    for perm in permutations(range(k)):
-        total = sum(dist[j, perm[j]] for j in range(k))
-        if total < best_total:
-            best_total, best_perm = total, perm
-    mu_vertex_dist = [float(dist[j, best_perm[j]]) for j in range(k)]
+    vertex_perm = best_assignment(dist)
+    mu_vertex_dist = [float(dist[j, vertex_perm[j]]) for j in range(k)]
 
     # one-hot generation vs the true archetypes, optimally matched
     generated = np.array([
@@ -469,7 +460,7 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
     return {
         "archetype_loss": final_archetype_loss(model, dataset.x),
         "nearest_row_indices": [int(i) for i in nearest],
-        "vertex_assignment": [int(v) for v in best_perm],
+        "vertex_assignment": [int(v) for v in vertex_perm],
         "mu_vertex_distances": mu_vertex_dist,
         "generation_assignment": [int(v) for v in gen_perm],
         "generation_mean_abs_errors": [float(e) for e in gen_errors],

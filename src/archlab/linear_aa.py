@@ -48,29 +48,6 @@ class LinearAaModel:
     rss_history: list = field(default_factory=list)
 
 
-def fw_row_step(grad_row: np.ndarray, current: np.ndarray, quadratic: np.ndarray) -> np.ndarray:
-    """One Frank-Wolfe step on the unit simplex for a quadratic objective.
-
-    The objective is f(x) = x' Q x + c' x with Q = ``quadratic`` (PSD) and
-    gradient ``grad_row`` at ``current``. The linear minimization oracle
-    picks the lowest gradient coordinate (lowest index on ties) and the
-    step size is the exact minimizer of f along the segment, clipped to
-    [0, 1].
-    """
-    j = int(np.argmin(grad_row))
-    direction = -current.copy()
-    direction[j] += 1.0
-    slope = float(grad_row @ direction)
-    if slope >= 0.0:
-        return current
-    curvature = float(direction @ quadratic @ direction)
-    if curvature <= 0.0:
-        gamma = 1.0
-    else:
-        gamma = min(1.0, -slope / (2.0 * curvature))
-    return current + gamma * direction
-
-
 def _fw_rows_batch(a: np.ndarray, q: np.ndarray, lin: np.ndarray, steps: int) -> np.ndarray:
     """Frank-Wolfe on independent simplex rows of A minimizing
     ||X - A Z||^2, with Q = Z Z' and lin = X Z'. Vectorized over rows."""
@@ -251,14 +228,3 @@ def transform(x, z, steps: int = 2000) -> np.ndarray:
             rows[:, support] = a_s[better]
             best_a[better] = rows
     return best_a
-
-
-def reconstruct(model: LinearAaModel) -> np.ndarray:
-    """A @ Z, the model's approximation of the data."""
-    return model.a @ model.z
-
-
-def rss(x, model: LinearAaModel) -> float:
-    """Squared Frobenius reconstruction error ||X - A B X||_F^2."""
-    x = as_matrix(x, "X")
-    return float(np.sum((x - model.a @ (model.b @ x)) ** 2))

@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import deep_aa, linear_aa
-from .errors import InsufficientPoints, ParameterError
+from .errors import ArchlabError, InsufficientPoints, ParameterError
 from .numerics import rng_create
 
 TEST_FRACTION = 0.1
+
+# config keys each fitter passes on; k and the seeds come from the sweep
+_LINEAR_KEYS = {"max_outer_iters", "rel_tol", "init"}
+_DEEP_KEYS = {
+    "arch": {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim"},
+    "hyper": {f.name for f in fields(deep_aa.DeepAaHyper)},
+}
 
 
 @dataclass
@@ -20,6 +27,7 @@ class SelectionCurve:
     ks: list
     losses: list  # test reconstruction MSE per k; None marks a failed fit
     chosen_k: int | None = None
+    failures: dict = field(default_factory=dict)  # k -> why its fit failed
 
 
 def split_train_test(n: int, seed: int):
@@ -36,7 +44,7 @@ def _seed_for(seed: int, k: int) -> int:
 def _linear_test_mse(dataset, k, cfg_overrides, seed):
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
     cfg = linear_aa.LinearAaConfig(k=k, seed=_seed_for(seed, k),
-                                   **(cfg_overrides or {}))
+                                   **cfg_overrides)
     model = linear_aa.fit_linear_aa(dataset.x[train_idx], cfg)
     x_test = dataset.x[test_idx]
     a_test = linear_aa.transform(x_test, model.z)
@@ -47,11 +55,9 @@ def _deep_test_mse(dataset, k, cfg_overrides, seed):
     from .datasets import Dataset
 
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    overrides = dict(cfg_overrides or {})
-    arch_kw = overrides.pop("arch", {})
+    arch_kw = dict(cfg_overrides.get("arch", {}))
     arch_kw.pop("k", None)
-    hyper_kw = overrides.pop("hyper", {})
-    hyper_kw["seed"] = _seed_for(seed, k)
+    hyper_kw = {**cfg_overrides.get("hyper", {}), "seed": _seed_for(seed, k)}
     arch = deep_aa.DeepAaArch(input_dim=dataset.x.shape[1], k=k, **arch_kw)
     hyper = deep_aa.DeepAaHyper(**hyper_kw)
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
@@ -64,30 +70,50 @@ def _deep_test_mse(dataset, k, cfg_overrides, seed):
     return float(np.mean((x_test - x_hat) ** 2))
 
 
+def _check_keys(cfg, allowed, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ParameterError(
+            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {sorted(allowed)}")
+
+
 def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
           seed: int = 0) -> SelectionCurve:
     """Fit one model per archetype count and record test reconstruction MSE.
 
     Per-k fits may run in parallel (capped by ARCHLAB_THREADS); results are
     merged by k, so the curve does not depend on scheduling. A fit that
-    raises is recorded as a missing point rather than aborting the sweep.
+    raises an ArchlabError is recorded as a missing point, with the reason
+    in ``failures``, rather than aborting the sweep; a config key the
+    fitter does not take is rejected before any fit runs.
     """
     ks = list(ks)
     if not ks:
         raise ParameterError("ks must be non-empty")
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
+    cfg = {} if cfg is None else cfg
     if fit == "linear":
         worker = _linear_test_mse
+        _check_keys(cfg, _LINEAR_KEYS, "sweep config")
     elif fit == "deep":
         worker = _deep_test_mse
+        _check_keys(cfg, _DEEP_KEYS, "sweep config")
+        for group, allowed in _DEEP_KEYS.items():
+            _check_keys(cfg.get(group, {}), allowed, f"sweep config '{group}'")
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
+
+    failures = {}
 
     def run(k):
         try:
             return worker(dataset, k, cfg, seed)
-        except Exception:
+        except ArchlabError as exc:
+            failures[k] = f"{type(exc).__name__}: {exc}"
             return None
 
     threads = max(1, int(os.environ.get("ARCHLAB_THREADS", "1")))
@@ -97,7 +123,8 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     else:
         losses = [run(k) for k in ks]
 
-    curve = SelectionCurve(ks=ks, losses=losses)
+    curve = SelectionCurve(ks=ks, losses=losses,
+                           failures={k: failures[k] for k in ks if k in failures})
     usable = [(k, l) for k, l in zip(ks, losses) if l is not None]
     if len(usable) == 1:
         curve.chosen_k = usable[0][0]

@@ -1,4 +1,5 @@
-"""Shared numerical utilities: PCA, simplex geometry, softmax, seeded RNG.
+"""Shared numerical utilities: PCA, simplex geometry, row matching, seeded
+RNG.
 
 All arrays are dense float64 numpy arrays. Randomness always flows through
 a ``numpy.random.Generator`` seeded with PCG64, so every stream is fully
@@ -9,6 +10,7 @@ Dirichlet draws are normalized gamma variates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -39,29 +41,6 @@ def rng_create(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def rng_gaussian(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Standard normal draws."""
-    return rng.standard_normal(size=size)
-
-
-def rng_dirichlet(rng: np.random.Generator, alpha) -> np.ndarray:
-    """One Dirichlet(alpha) draw via normalized gamma variates."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or alpha.size < 1:
-        raise ParameterError("alpha must be a non-empty vector")
-    if np.any(alpha <= 0):
-        raise ParameterError("all Dirichlet concentrations must be > 0")
-    g = rng.standard_gamma(alpha)
-    total = g.sum()
-    if total == 0.0:
-        # extreme small-alpha underflow; fall back to a one-hot at the
-        # coordinate a fresh gamma draw would favor
-        g = np.zeros_like(alpha)
-        g[int(rng.integers(alpha.size))] = 1.0
-        total = 1.0
-    return g / total
-
-
 def rng_dirichlet_matrix(rng: np.random.Generator, alpha, n: int) -> np.ndarray:
     """n iid Dirichlet(alpha) rows (vectorized gamma normalization)."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -75,17 +54,6 @@ def rng_dirichlet_matrix(rng: np.random.Generator, alpha, n: int) -> np.ndarray:
         g[dead, rng.integers(alpha.size, size=int(dead.sum()))] = 1.0
         totals = g.sum(axis=1, keepdims=True)
     return g / totals
-
-
-# ---------------------------------------------------------------------------
-# Softmax
-
-def row_softmax(m) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +105,6 @@ def _helmert_basis(k: int) -> np.ndarray:
     return basis
 
 
-def barycentric_in_hull(frame: SimplexFrame, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """True per point iff it lies in the convex hull of the frame vertices.
-
-    The frame vertices plus the constant-1 coordinate form an invertible
-    system, so barycentric coordinates are exact.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    k = frame.k
-    system = np.hstack([frame.vertices, np.ones((k, 1))])  # (k, k)
-    rhs = np.hstack([points, np.ones((points.shape[0], 1))])  # (m, k)
-    coords = np.linalg.solve(system.T, rhs.T).T
-    return np.all(coords >= -tol, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -192,15 +146,38 @@ def pca_fit(x, q: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
+# the search visits k! assignments: 362 880 at k = 9
+MAX_MATCH_ROWS = 9
+
+
+def best_assignment(cost) -> list:
+    """One-to-one assignment of rows to columns of the square ``cost``
+    matrix minimizing the total cost, by exhaustive search: row j goes to
+    column perm[j].
+
+    Totals are summed in row order and only a strictly smaller total
+    replaces the best so far, so a tie goes to the permutation that comes
+    first in lexicographic order.
+    """
+    k = len(cost)
+    if k > MAX_MATCH_ROWS:
+        raise DimensionError(
+            f"exhaustive matching supports at most {MAX_MATCH_ROWS} rows")
+    best_perm, best_total = None, np.inf
+    for perm in permutations(range(k)):
+        total = sum(cost[j][perm[j]] for j in range(k))
+        if total < best_total:
+            best_total, best_perm = total, perm
+    return list(best_perm)
+
+
 def match_rows(estimated, truth):
     """Assign estimated rows to truth rows one-to-one, minimizing the total
-    mean absolute per-coordinate error (exhaustive over permutations).
+    mean absolute per-coordinate error (see :func:`best_assignment`).
 
     Returns (perm, errors) where estimated[perm[i]] is matched to truth[i]
     and errors[i] is the mean absolute coordinate error of that pair.
     """
-    from itertools import permutations
-
     estimated = as_matrix(estimated, "estimated")
     truth = as_matrix(truth, "truth")
     if estimated.shape != truth.shape:
@@ -208,26 +185,15 @@ def match_rows(estimated, truth):
             f"shape mismatch {estimated.shape} vs {truth.shape}"
         )
     k = truth.shape[0]
-    if k > 9:
-        raise DimensionError("exhaustive matching supports at most 9 rows")
     cost = np.array([
         [np.mean(np.abs(estimated[i] - truth[j])) for i in range(k)]
         for j in range(k)
     ])
-    best_perm, best_total = None, np.inf
-    for perm in permutations(range(k)):
-        total = sum(cost[j][perm[j]] for j in range(k))
-        if total < best_total:
-            best_total, best_perm = total, perm
-    errors = np.array([cost[j][best_perm[j]] for j in range(k)])
-    return list(best_perm), errors
+    perm = best_assignment(cost)
+    errors = np.array([cost[j][perm[j]] for j in range(k)])
+    return perm, errors
 
 
 def pca_project(model: PcaModel, x) -> np.ndarray:
     x = as_matrix(x, "X")
     return (x - model.mean) @ model.components.T
-
-
-def pca_reconstruct(model: PcaModel, scores) -> np.ndarray:
-    scores = as_matrix(scores, "scores")
-    return scores @ model.components + model.mean

@@ -1,8 +1,7 @@
 """Generative simplex latent variable model behind archetypal analysis.
 
 Each observation is a Dirichlet-weighted convex mixture of fixed archetypes
-plus isotropic Gaussian noise. Used to synthesize benchmark data and as the
-reference observation model for likelihood evaluation.
+plus isotropic Gaussian noise. Used to synthesize the benchmark data.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .numerics import as_matrix, rng_create, rng_dirichlet_matrix
 
 
@@ -54,22 +53,3 @@ def sample(cfg: ProbAaConfig, n: int, seed: int):
     if cfg.sigma2 > 0:
         x = x + math.sqrt(cfg.sigma2) * rng.standard_normal((n, p))
     return x, a_true
-
-
-def log_likelihood(x, a, z, sigma2: float) -> float:
-    """Exact iid Gaussian log-density of X with means A @ Z and variance sigma2."""
-    if sigma2 <= 0:
-        raise ParameterError("sigma2 must be > 0 for likelihood evaluation")
-    x = as_matrix(x, "X")
-    a = as_matrix(a, "A")
-    z = as_matrix(z, "Z")
-    if a.shape[1] != z.shape[0] or x.shape != (a.shape[0], z.shape[1]):
-        raise ShapeError(
-            f"inconsistent shapes X{x.shape}, A{a.shape}, Z{z.shape}"
-        )
-    resid = x - a @ z
-    n_terms = x.size
-    return float(
-        -0.5 * n_terms * math.log(2.0 * math.pi * sigma2)
-        - 0.5 * np.sum(resid**2) / sigma2
-    )

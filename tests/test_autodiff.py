@@ -87,16 +87,6 @@ class TestElementwise:
     def test_exp(self):
         check_grad(lambda a: ad.reduce_sum(ad.exp(a)), (3, 3))
 
-    def test_log(self):
-        rng = np.random.default_rng(0)
-        a = ad.Node(rng.uniform(0.5, 2.0, size=(3, 3)))
-        loss = ad.reduce_sum(ad.log(a))
-        loss.backward()
-        fd = central_difference(
-            lambda: float(ad.reduce_sum(ad.log(a)).value), a.value
-        )
-        np.testing.assert_allclose(a.grad, fd, rtol=1e-6)
-
     def test_square(self):
         check_grad(lambda a: ad.reduce_sum(ad.square(a)), (2, 5))
 
@@ -120,34 +110,19 @@ class TestStructured:
             lambda a: ad.reduce_sum(ad.square(ad.row_softmax(a) - w)), (5, 4)
         )
 
+    def test_row_softmax_large_logits_stable(self):
+        s = ad.row_softmax(ad.Node([[1000.0, 0.0], [-1000.0, 0.0]]))
+        np.testing.assert_allclose(s.value, [[1.0, 0.0], [0.0, 1.0]], atol=1e-300)
+
+    def test_row_softmax_shift_invariance(self):
+        m = np.random.default_rng(1).normal(size=(4, 3))
+        np.testing.assert_allclose(ad.row_softmax(ad.Node(m)).value,
+                                   ad.row_softmax(ad.Node(m + 100.0)).value,
+                                   atol=1e-12)
+
     def test_transpose(self):
         check_grad(lambda a: ad.reduce_sum(ad.square(ad.transpose(a) @ a)), (3, 2))
 
-    def test_reduce_mean(self):
-        check_grad(lambda a: ad.reduce_mean(ad.square(a)), (4, 6))
-
-    def test_concat(self):
-        check_grad(
-            lambda a, b: ad.reduce_sum(ad.square(ad.concat([a, b], axis=1))),
-            (3, 2),
-            (3, 4),
-        )
-
-    def test_concat_axis0(self):
-        check_grad(
-            lambda a, b: ad.reduce_sum(ad.square(ad.concat([a, b], axis=0))),
-            (2, 3),
-            (4, 3),
-        )
-
-    def test_narrow(self):
-        check_grad(
-            lambda a: ad.reduce_sum(ad.square(ad.narrow(a, 1, 1, 3))), (4, 5)
-        )
-
-    def test_narrow_value(self):
-        a = ad.Node(np.arange(12.0).reshape(3, 4))
-        np.testing.assert_array_equal(ad.narrow(a, 1, 0, 2).value, a.value[:, :2])
 
 
 class TestGraph:

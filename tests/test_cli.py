@@ -35,11 +35,12 @@ def file_bytes(directory, names):
 class TestGenData:
     def test_writes_expected_files(self, tmp_path):
         out = gen_dataset(tmp_path)
-        for name in ("X.csv", "atrue.csv", "ztrue.csv", "manifest.json"):
+        for name in ("X.csv", "X.atrue.csv", "X.ztrue.csv", "manifest.json"):
             assert (out / name).exists()
         ds = datasets.read_csv(str(out / "X.csv"))
         assert ds.x.shape == (120, 3)
         assert ds.labels is None
+        assert ds.a_true.shape == (120, 3) and ds.z_true.shape == (3, 3)
 
     def test_side_info_adds_label_column(self, tmp_path):
         out = gen_dataset(tmp_path, side_info={"kind": "mixture_projection", "j": 0})
@@ -47,7 +48,7 @@ class TestGenData:
         assert ds.labels is not None and ds.labels.shape == (120,)
 
     def test_rerun_byte_identical(self, tmp_path):
-        csvs = ("X.csv", "atrue.csv", "ztrue.csv")
+        csvs = ("X.csv", "X.atrue.csv", "X.ztrue.csv")
         first = file_bytes(gen_dataset(tmp_path, "run1"), csvs)
         second = file_bytes(gen_dataset(tmp_path, "run2"), csvs)
         assert first == second
@@ -58,6 +59,12 @@ class TestGenData:
         assert manifest["command"] == "gen-data"
         assert manifest["seeds"] == {"embed_seed": 7, "sample_seed": 8}
         assert str(out / "X.csv") in manifest["outputs"]
+
+    def test_git_describe_independent_of_working_directory(self, tmp_path,
+                                                           monkeypatch):
+        here = cli._git_describe()
+        monkeypatch.chdir(tmp_path)
+        assert cli._git_describe() == here
 
     def test_invalid_field_exits_config(self, tmp_path, capsys):
         spec = write_spec(tmp_path, warp={"kind": "exp", "dim": 9})
@@ -120,14 +127,14 @@ class TestFitLinear:
 
 
 class TestFitDeep:
-    def fit(self, tmp_path, data, out_name="deep", *extra):
+    def fit(self, tmp_path, data, out_name="deep", *extra, k=3):
         arch = tmp_path / "arch.json"
         arch.write_text(json.dumps({"encoder_hidden": [8],
                                     "decoder_hidden": [8]}))
         hyper = tmp_path / "hyper.json"
         hyper.write_text(json.dumps({"epochs": 2, "batch": 40}))
         out = tmp_path / out_name
-        code = run("fit-deep", "--data", data, "--k", 3, "--arch", arch,
+        code = run("fit-deep", "--data", data, "--k", k, "--arch", arch,
                    "--hyper", hyper, "--seed", 1, "--out", out, *extra)
         return code, out
 
@@ -142,6 +149,15 @@ class TestFitDeep:
         assert isinstance(model, deep_aa.DeepAaModel)
         report = json.loads((out / "vertex_recovery.json").read_text())
         assert "archetype_loss" in report
+
+    def test_k_beyond_matching_limit_skips_vertex_recovery(self, tmp_path):
+        # the exhaustive vertex matching supports at most 9 archetypes
+        data = gen_dataset(tmp_path, p=10, k=10)
+        code, out = self.fit(tmp_path, data, k=10)
+        assert code == cli.EXIT_OK
+        assert not (out / "vertex_recovery.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "k=10" in manifest["config"]["vertex_recovery_skipped"]
 
     def test_rerun_byte_identical(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -188,6 +204,26 @@ class TestSweep:
         code = run("sweep", "--data", data, "--ks", "1,two",
                    "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
+
+    def test_unknown_config_key_exits_config(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"max_iters": 50}))
+        code = run("sweep", "--data", data, "--ks", "1,2,3", "--config", config,
+                   "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "'max_iters'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "curve.csv").exists()
+
+    def test_failed_ks_recorded_in_manifest(self, tmp_path):
+        # 108 training rows: k=200 cannot be fit
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "o"
+        assert run("sweep", "--data", data, "--ks", "200",
+                   "--out", out) == cli.EXIT_OK
+        assert (out / "curve.csv").read_text() == "k,loss\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["failures"]["200"].startswith("DimensionError")
 
 
 class TestInterpolateAndSample:

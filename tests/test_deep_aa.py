@@ -10,7 +10,9 @@ from archlab.errors import (
     ParameterError,
     ShapeError,
 )
-from archlab.numerics import barycentric_in_hull, rng_create, simplex_vertices
+from archlab.numerics import rng_create, simplex_vertices
+
+from test_numerics import barycentric_in_hull
 
 
 def tiny_model(k=3, p=4, side=False, seed=0):

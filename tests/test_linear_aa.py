@@ -54,26 +54,50 @@ def brute_force_rss(x, k, step=0.02):
     return best
 
 
+def fw_row_step(grad_row, current, quadratic):
+    """One Frank-Wolfe step on the unit simplex for a quadratic objective
+    (scalar test oracle for the solver's batched step).
+
+    The objective is f(x) = x' Q x + c' x with Q = ``quadratic`` (PSD) and
+    gradient ``grad_row`` at ``current``. The linear minimization oracle
+    picks the lowest gradient coordinate (lowest index on ties) and the
+    step size is the exact minimizer of f along the segment, clipped to
+    [0, 1].
+    """
+    j = int(np.argmin(grad_row))
+    direction = -current.copy()
+    direction[j] += 1.0
+    slope = float(grad_row @ direction)
+    if slope >= 0.0:
+        return current
+    curvature = float(direction @ quadratic @ direction)
+    if curvature <= 0.0:
+        gamma = 1.0
+    else:
+        gamma = min(1.0, -slope / (2.0 * curvature))
+    return current + gamma * direction
+
+
 class TestFwRowStep:
     def test_stays_on_simplex(self):
         rng = rng_create(0)
         q = np.eye(3)
         current = np.array([0.2, 0.3, 0.5])
         grad = rng.standard_normal(3)
-        out = linear_aa.fw_row_step(grad, current, q)
+        out = fw_row_step(grad, current, q)
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0)
 
     def test_no_move_at_optimum(self):
         # gradient uniform: every vertex direction has slope 0
         current = np.array([0.5, 0.5])
-        out = linear_aa.fw_row_step(np.array([1.0, 1.0]), current, np.eye(2))
+        out = fw_row_step(np.array([1.0, 1.0]), current, np.eye(2))
         np.testing.assert_array_equal(out, current)
 
     def test_tie_breaks_lowest_index(self):
         current = np.array([0.0, 0.0, 1.0])
         grad = np.array([-1.0, -1.0, 0.0])
-        out = linear_aa.fw_row_step(grad, current, np.zeros((3, 3)))
+        out = fw_row_step(grad, current, np.zeros((3, 3)))
         assert out[0] == 1.0  # moved fully toward vertex 0, not 1
 
     def test_exact_line_search_quadratic(self):
@@ -83,8 +107,25 @@ class TestFwRowStep:
         target = np.array([0.7, 0.3])
         current = np.array([0.0, 1.0])
         grad = 2 * (current - target)
-        out = linear_aa.fw_row_step(grad, current, q)
+        out = fw_row_step(grad, current, q)
         np.testing.assert_allclose(out, target, atol=1e-12)
+
+    def test_batched_step_matches_scalar_oracle(self):
+        # rows on a grid of quarters and an integer Z keep A Q exact, so
+        # rows given lin = A Q + v have gradient exactly -v and ties in it
+        rng = rng_create(13)
+        n, k = 40, 4
+        z = rng.integers(-3, 4, size=(k, 3)).astype(float)
+        q = z @ z.T
+        a = np.array([np.bincount(rng.integers(k, size=4), minlength=k) / 4.0
+                      for _ in range(n)])
+        lin = rng.standard_normal((n, 3)) @ z.T
+        ties = rng.permuted(np.tile([1.0, 1.0, 0.0, -1.0], (n // 2, 1)), axis=1)
+        lin[::2] = a[::2] @ q + ties
+        stepped = linear_aa._fw_rows_batch(a, q, lin, 1)
+        for row, a_row, lin_row in zip(stepped, a, lin):
+            oracle = fw_row_step(2.0 * (a_row @ q - lin_row), a_row, q)
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
 
 
 class TestFurthestSum:
@@ -231,4 +272,5 @@ class TestProperties:
         np.testing.assert_allclose(model.a.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(model.b.sum(axis=1), 1.0, atol=1e-9)
         # reconstruction consistency
-        assert linear_aa.rss(x, model) == pytest.approx(model.rss, rel=1e-9, abs=1e-9)
+        rss = float(np.sum((x - model.a @ (model.b @ x)) ** 2))
+        assert rss == pytest.approx(model.rss, rel=1e-9, abs=1e-9)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -60,8 +62,10 @@ class TestSweep:
         ds = convex_dataset(k_true=3, n=200, noise=0.05)
         cfg = {"arch": {"encoder_hidden": (8,), "decoder_hidden": (8,)},
                "hyper": {"epochs": 1, "batch": 50}}
+        given = copy.deepcopy(cfg)
         curve = model_selection.sweep(ds, [2, 3], fit="deep", cfg=cfg)
         assert all(l is not None and l >= 0 for l in curve.losses)
+        assert cfg == given
 
     def test_failed_fit_recorded_as_missing(self):
         # k larger than the training rows makes that fit raise
@@ -69,6 +73,28 @@ class TestSweep:
         curve = model_selection.sweep(ds, [1, 2, 50], fit="linear")
         assert curve.losses[2] is None
         assert curve.losses[0] is not None
+        assert list(curve.failures) == [50]
+        assert curve.failures[50].startswith("DimensionError: k=50 exceeds")
+
+    def test_non_archlab_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("defect in the fitter")
+        monkeypatch.setattr(model_selection, "_linear_test_mse", broken)
+        with pytest.raises(ValueError):
+            model_selection.sweep(convex_dataset(n=50), [1, 2], fit="linear")
+
+    @pytest.mark.parametrize("fit, cfg", [
+        ("linear", {"max_iters": 50}),
+        ("deep", {"archs": {}}),
+        ("deep", {"hyper": {"epoch": 1}}),
+    ])
+    def test_unknown_config_key_rejected_before_fitting(self, monkeypatch,
+                                                        fit, cfg):
+        def fitted(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(model_selection, f"_{fit}_test_mse", fitted)
+        with pytest.raises(ParameterError):
+            model_selection.sweep(convex_dataset(n=50), [2, 3], fit=fit, cfg=cfg)
 
     def test_rejects_bad_ks(self):
         ds = convex_dataset()

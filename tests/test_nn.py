@@ -103,9 +103,9 @@ class TestAdam:
         first = None
         for _ in range(300):
             opt.zero_grad()
-            loss = ad.reduce_mean(
+            loss = ad.reduce_sum(
                 ad.square(mlp.forward(ad.Node(x_data)) - y_data)
-            )
+            ) * (1.0 / y_data.size)
             loss.backward()
             opt.step()
             first = first if first is not None else float(loss.value)

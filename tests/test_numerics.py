@@ -33,21 +33,19 @@ class TestAsMatrix:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = numerics.rng_gaussian(numerics.rng_create(42), (100,))
-        b = numerics.rng_gaussian(numerics.rng_create(42), (100,))
+        a = numerics.rng_create(42).standard_normal(100)
+        b = numerics.rng_create(42).standard_normal(100)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = numerics.rng_gaussian(numerics.rng_create(1), (100,))
-        b = numerics.rng_gaussian(numerics.rng_create(2), (100,))
+        a = numerics.rng_create(1).standard_normal(100)
+        b = numerics.rng_create(2).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_dirichlet_on_simplex(self):
-        rng = numerics.rng_create(0)
-        for _ in range(100):
-            w = numerics.rng_dirichlet(rng, [0.5, 1.5, 3.0])
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-12
+        w = numerics.rng_dirichlet_matrix(numerics.rng_create(0), [0.5, 1.5, 3.0], 100)
+        assert np.all(w >= 0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dirichlet_matrix_matches_marginal_mean(self):
         # E[w_j] = alpha_j / sum(alpha)
@@ -59,26 +57,9 @@ class TestRng:
     def test_dirichlet_rejects_nonpositive(self):
         rng = numerics.rng_create(0)
         with pytest.raises(ParameterError):
-            numerics.rng_dirichlet(rng, [1.0, 0.0])
+            numerics.rng_dirichlet_matrix(rng, [1.0, 0.0], 3)
         with pytest.raises(ParameterError):
             numerics.rng_dirichlet_matrix(rng, [1.0, -1.0], 3)
-
-
-class TestRowSoftmax:
-    def test_rows_stochastic(self):
-        s = numerics.row_softmax(np.random.default_rng(0).normal(size=(20, 5)))
-        assert np.all(s > 0)
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_large_logits_stable(self):
-        s = numerics.row_softmax(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
-        np.testing.assert_allclose(s, [[1.0, 0.0], [0.0, 1.0]], atol=1e-300)
-
-    def test_shift_invariance(self):
-        m = np.random.default_rng(1).normal(size=(4, 3))
-        np.testing.assert_allclose(
-            numerics.row_softmax(m), numerics.row_softmax(m + 100.0), atol=1e-12
-        )
 
 
 class TestSimplexVertices:
@@ -114,16 +95,28 @@ class TestSimplexVertices:
             numerics.simplex_vertices(1)
 
 
+def barycentric_in_hull(frame, points, tol=1e-9):
+    """True per point iff it lies in the convex hull of the frame vertices
+    (test oracle). The frame vertices plus the constant-1 coordinate form
+    an invertible system, so barycentric coordinates are exact."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    k = frame.k
+    system = np.hstack([frame.vertices, np.ones((k, 1))])  # (k, k)
+    rhs = np.hstack([points, np.ones((points.shape[0], 1))])  # (m, k)
+    coords = np.linalg.solve(system.T, rhs.T).T
+    return np.all(coords >= -tol, axis=1)
+
+
 class TestBarycentricInHull:
     def test_vertices_and_centroid_inside(self):
         frame = numerics.simplex_vertices(4)
         pts = np.vstack([frame.vertices, frame.vertices.mean(axis=0)])
-        assert numerics.barycentric_in_hull(frame, pts).all()
+        assert barycentric_in_hull(frame, pts).all()
 
     def test_outside_point(self):
         frame = numerics.simplex_vertices(3)
         outside = frame.vertices[0] * 1.5
-        assert not numerics.barycentric_in_hull(frame, outside)[0]
+        assert not barycentric_in_hull(frame, outside)[0]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -131,7 +124,7 @@ class TestBarycentricInHull:
         frame = numerics.simplex_vertices(4)
         rng = numerics.rng_create(seed)
         w = numerics.rng_dirichlet_matrix(rng, np.ones(4), 20)
-        assert numerics.barycentric_in_hull(frame, w @ frame.vertices).all()
+        assert barycentric_in_hull(frame, w @ frame.vertices).all()
 
 
 class TestPca:
@@ -142,7 +135,7 @@ class TestPca:
         x = scores @ basis + 5.0
         model = numerics.pca_fit(x, 2)
         np.testing.assert_allclose(
-            numerics.pca_reconstruct(model, numerics.pca_project(model, x)),
+            numerics.pca_project(model, x) @ model.components + model.mean,
             x,
             atol=1e-9,
         )
@@ -212,3 +205,13 @@ class TestMatchRows:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             numerics.match_rows(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    def test_tie_goes_to_first_permutation(self):
+        # (1, 0, 2) and (2, 0, 1) both total 5
+        cost = np.array([[3.0, 1.0, 1.0], [1.0, 3.0, 3.0], [3.0, 3.0, 3.0]])
+        assert numerics.best_assignment(cost) == [1, 0, 2]
+
+    def test_rejects_more_rows_than_the_search_supports(self):
+        k = numerics.MAX_MATCH_ROWS + 1
+        with pytest.raises(DimensionError):
+            numerics.best_assignment(np.zeros((k, k)))

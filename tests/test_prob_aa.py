@@ -1,13 +1,8 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from archlab import prob_aa
-from archlab.errors import ParameterError, ShapeError
-from archlab.numerics import rng_create
+from archlab.errors import ParameterError
 
 
 Z = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
@@ -78,41 +73,3 @@ class TestSample:
         cfg = prob_aa.ProbAaConfig(k=3, z_true=Z)
         _, a = prob_aa.sample(cfg, 10_000, seed=7)
         assert np.mean(a.max(axis=1) > 0.9) > 0.25
-
-
-class TestLogLikelihood:
-    def test_matches_hand_computed_gaussian(self):
-        # single 1-D observation: log N(x; mu, sigma2)
-        x = np.array([[1.5]])
-        a = np.array([[1.0]])
-        z = np.array([[1.0]])
-        sigma2 = 0.25
-        expected = -0.5 * math.log(2 * math.pi * sigma2) - 0.5 * (0.5**2) / sigma2
-        assert prob_aa.log_likelihood(x, a, z, sigma2) == pytest.approx(expected)
-
-    def test_maximized_at_true_parameters(self):
-        cfg = prob_aa.ProbAaConfig(k=3, z_true=Z, sigma2=0.05)
-        x, a = prob_aa.sample(cfg, 2000, seed=8)
-        ll_true = prob_aa.log_likelihood(x, a, Z, 0.05)
-        ll_shifted = prob_aa.log_likelihood(x, a, Z + 0.5, 0.05)
-        assert ll_true > ll_shifted
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ShapeError):
-            prob_aa.log_likelihood(np.zeros((3, 2)), np.zeros((3, 3)), Z.T, 1.0)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ParameterError):
-            prob_aa.log_likelihood(np.zeros((1, 2)), np.ones((1, 3)) / 3, Z, 0.0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_monte_carlo_consistency(self, seed):
-        # average log-likelihood per entry approaches the Gaussian entropy rate
-        rng = rng_create(seed)
-        sigma2 = float(rng.uniform(0.1, 2.0))
-        cfg = prob_aa.ProbAaConfig(k=3, z_true=Z, sigma2=sigma2)
-        x, a = prob_aa.sample(cfg, 4000, seed=seed + 1)
-        ll = prob_aa.log_likelihood(x, a, Z, sigma2)
-        expected_rate = -0.5 * math.log(2 * math.pi * sigma2) - 0.5
-        assert ll / x.size == pytest.approx(expected_rate, abs=0.05)
