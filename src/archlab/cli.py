@@ -19,30 +19,19 @@ import numpy as np
 from . import datasets, deep_aa, linear_aa, model_selection
 from .errors import (
     ArchlabError,
-    DegenerateError,
-    DimensionError,
-    GraphError,
-    InsufficientPoints,
     IoError,
     MissingGroundTruth,
     NumericalError,
     ParameterError,
     ParseError,
-    SchemaVersionError,
-    ShapeError,
 )
-from .numerics import MAX_MATCH_ROWS, pca_fit, pca_project
+from .numerics import MAX_MATCH_ROWS, pca_fit, pca_project, rng_create
 from .svg import SvgChart
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-_CONFIG_ERRORS = (
-    ParameterError, DimensionError, ShapeError, ParseError, SchemaVersionError,
-    MissingGroundTruth, InsufficientPoints, DegenerateError, GraphError,
-)
 
 
 def _git_describe() -> str:
@@ -282,10 +271,7 @@ def cmd_sample(args) -> int:
     if not isinstance(model, deep_aa.DeepAaModel):
         raise ParameterError("sample requires a deep model")
     weights = _parse_weights(args.weights, model.arch.k)
-    rng = None
-    if args.noise:
-        from .numerics import rng_create
-        rng = rng_create(args.seed)
+    rng = rng_create(args.seed) if args.noise else None
     row, y_hat = deep_aa.generate(model, weights, rng=rng, use_noise=args.noise)
     out = _ensure_dir(args.out)
     body = row[None, :]
@@ -301,11 +287,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-_PLOT_KINDS = {
-    "scatter": ("scatter", "first two numeric columns as points; optional "
-                "'tag' column splits series"),
-    "line": ("line", "first column as x, second as y"),
-}
+_PLOT_KINDS = ("scatter", "line")
 
 
 def cmd_plot(args) -> int:
@@ -408,9 +390,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

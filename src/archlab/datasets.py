@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     ParseError,
     SchemaVersionError,
+    check_fields,
 )
 from .numerics import rng_create, simplex_vertices
 
@@ -51,6 +52,8 @@ class SyntheticSpec:
     alpha: np.ndarray | None = None
 
     def __post_init__(self):
+        check_fields(self, int, "n", "p", "k", "embed_seed", "sample_seed", "warp_dim")
+        check_fields(self, float, "sigma2")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.k - 1 > self.p:
@@ -88,17 +91,22 @@ class SyntheticSpec:
                 raise ParameterError(f"unknown warp kind '{kind}' in field 'warp'")
             if "dim" not in warp:
                 raise ParameterError("warp of kind 'exp' needs field 'warp.dim'")
-            dim = int(warp["dim"])
+            dim = warp["dim"]
         else:
             raise ParameterError(f"unknown warp '{warp}' in field 'warp'")
+        for name in ("n", "p", "k"):
+            if name not in d:
+                raise ParameterError(f"spec is missing field '{name}'")
         alpha = d.get("alpha")
+        if alpha is not None:
+            try:
+                alpha = np.asarray(alpha, float)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"field 'alpha' must be a list of numbers: {exc}") from exc
         return SyntheticSpec(
-            n=int(d["n"]), p=int(d["p"]), k=int(d["k"]),
-            sigma2=float(d.get("sigma2", 0.05)),
-            embed_seed=int(d.get("embed_seed", 0)),
-            sample_seed=int(d.get("sample_seed", 1)),
-            warp=kind, warp_dim=dim,
-            alpha=None if alpha is None else np.asarray(alpha, float),
+            n=d["n"], p=d["p"], k=d["k"], sigma2=d.get("sigma2", 0.05),
+            embed_seed=d.get("embed_seed", 0), sample_seed=d.get("sample_seed", 1),
+            warp=kind, warp_dim=dim, alpha=alpha,
         )
 
 

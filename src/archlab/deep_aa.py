@@ -23,12 +23,14 @@ being scored as if its noise had unit variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import MissingGroundTruth, NumericalError, ParameterError, ShapeError
+from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
+                     check_fields)
 from .nn import Adam, Mlp
 from .numerics import (SimplexFrame, best_assignment, match_rows, rng_create,
                        simplex_vertices)
@@ -52,16 +54,23 @@ class DeepAaArch:
     activation: str = "relu"
 
     def __post_init__(self):
+        check_fields(self, int, "input_dim", "k")
+        check_fields(self, str, "activation")
         if self.k < 2:
             raise ParameterError(f"deep AA needs k >= 2, got {self.k}")
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")
+        for name in ("encoder_hidden", "decoder_hidden", "side_hidden"):
+            widths = getattr(self, name)
+            if widths is None and name == "side_hidden":
+                continue
+            if not isinstance(widths, (list, tuple)) or not all(
+                    isinstance(w, Integral) and w >= 1 for w in widths):
+                raise ParameterError(
+                    f"field '{name}' must be a list of positive layer widths, got {widths!r}")
+            object.__setattr__(self, name, tuple(widths))
         if len(self.encoder_hidden) < 1 or len(self.decoder_hidden) < 1:
             raise ParameterError("encoder and decoder need at least one hidden layer")
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        object.__setattr__(self, "decoder_hidden", tuple(self.decoder_hidden))
-        if self.side_hidden is not None:
-            object.__setattr__(self, "side_hidden", tuple(self.side_hidden))
 
     @property
     def latent_dim(self) -> int:
@@ -78,14 +87,7 @@ class DeepAaArch:
 
     @staticmethod
     def from_dict(d: dict) -> "DeepAaArch":
-        side = d.get("side_hidden")
-        return DeepAaArch(
-            input_dim=int(d["input_dim"]), k=int(d["k"]),
-            encoder_hidden=tuple(d["encoder_hidden"]),
-            decoder_hidden=tuple(d["decoder_hidden"]),
-            side_hidden=None if side is None else tuple(side),
-            activation=d.get("activation", "relu"),
-        )
+        return DeepAaArch(**{f.name: d[f.name] for f in fields(DeepAaArch) if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,9 @@ class DeepAaHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, float, "lambda0", "lambda_growth", "at_weight",
+                     "side_weight", "lr")
+        check_fields(self, int, "lambda_every", "batch", "epochs", "seed")
         if self.lambda0 <= 0:
             raise ParameterError("lambda0 must be > 0")
         if self.batch < 1 or self.epochs < 0:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all archlab modules."""
+"""Exception hierarchy shared by all archlab modules, and the type check
+of configuration fields that raises them."""
+
+from numbers import Integral, Real
 
 
 class ArchlabError(Exception):
@@ -47,3 +50,18 @@ class SchemaVersionError(ArchlabError):
 
 class InsufficientPoints(ArchlabError):
     """Too few curve points for elbow detection."""
+
+
+_FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
+                str: (str, "a string")}
+
+
+def check_fields(obj, kind, *names) -> None:
+    """Raise ParameterError naming the first of the fields ``names`` of
+    ``obj`` whose value is not a ``kind``: int, float (an int will do) or
+    str. Booleans count as neither number."""
+    accepted, words = _FIELD_KINDS[kind]
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ParameterError(f"field '{name}' must be {words}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError, check_fields
 from .numerics import as_matrix, check_finite, rng_create
 
 _INNER_FW_STEPS = 10
@@ -29,6 +29,8 @@ class LinearAaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, int, "k", "max_outer_iters", "seed")
+        check_fields(self, float, "rel_tol")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.rel_tol <= 0:

@@ -88,7 +88,8 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     merged by k, so the curve does not depend on scheduling. A fit that
     raises an ArchlabError is recorded as a missing point, with the reason
     in ``failures``, rather than aborting the sweep; a config key the
-    fitter does not take is rejected before any fit runs.
+    fitter does not take, or a value no k could use, is rejected before
+    any fit runs.
     """
     ks = list(ks)
     if not ks:
@@ -96,14 +97,19 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
     cfg = {} if cfg is None else cfg
+    # a config value of the wrong type or range is wrong for every k, so it
+    # is rejected before any fit; any valid count stands in for k
     if fit == "linear":
         worker = _linear_test_mse
         _check_keys(cfg, _LINEAR_KEYS, "sweep config")
+        linear_aa.LinearAaConfig(**cfg, k=1)
     elif fit == "deep":
         worker = _deep_test_mse
         _check_keys(cfg, _DEEP_KEYS, "sweep config")
         for group, allowed in _DEEP_KEYS.items():
             _check_keys(cfg.get(group, {}), allowed, f"sweep config '{group}'")
+        deep_aa.DeepAaArch(**{**cfg.get("arch", {}), "input_dim": 1, "k": 2})
+        deep_aa.DeepAaHyper(**cfg.get("hyper", {}))
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError, ShapeError
+from .numerics import rng_create
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "identity": lambda x: x}
 
@@ -25,7 +26,7 @@ class Mlp:
         self.sizes = list(sizes)
         self.activation = activation
         self.output_activation = output_activation
-        rng = rng if rng is not None else np.random.Generator(np.random.PCG64(0))
+        rng = rng if rng is not None else rng_create(0)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from archlab import autodiff as ad
+from archlab.deep_aa import DeepAaArch, DeepAaModel
 from archlab.errors import GraphError, ShapeError
 
 
@@ -167,3 +168,29 @@ class TestGraph:
         loss.backward()
         np.testing.assert_allclose(loss.value, 3.0)
         np.testing.assert_allclose(a.grad, [[1.0]])
+
+    def test_constant_gets_no_gradient(self):
+        rng = np.random.default_rng(3)
+        x = ad.constant(rng.normal(size=(4, 3)))
+        w = ad.Node(rng.normal(size=(3, 2)))
+
+        def loss():
+            return ad.reduce_sum(ad.square(x @ w))
+        loss().backward()
+        assert x.grad is None
+        fd = central_difference(lambda: float(loss().value), w.value)
+        np.testing.assert_allclose(w.grad, fd, atol=1e-7, rtol=1e-5)
+
+    def test_evaluation_graph_holds_no_gradient_buffer(self):
+        model = DeepAaModel(DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,),
+                                       decoder_hidden=(8,)))
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        params = {id(p) for p in model.parameters()}
+        stack, nodes = list(model._encode_nodes(ad.constant(x))), {}
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(p for p in node.parents if id(p) not in nodes)
+        graph = [n for key, n in nodes.items() if key not in params]
+        assert len(graph) > 10
+        assert all(n.grad is None for n in graph)

@@ -304,3 +304,25 @@ class TestPlot:
     def test_missing_input_exits_io(self, tmp_path):
         assert run("plot", "--in", tmp_path / "absent.csv", "--out",
                    tmp_path / "x.svg") == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("command, option, payload, field", [
+    ("sweep", "--config", {"rel_tol": "x"}, "rel_tol"),
+    ("fit-deep", "--hyper", {"lr": "x"}, "lr"),
+    ("fit-deep", "--hyper", {"epochs": 1.5}, "epochs"),
+    ("fit-deep", "--arch", {"encoder_hidden": 64}, "encoder_hidden"),
+    ("gen-data", "--spec", {"n": "x", "p": 3, "k": 3}, "n"),
+    ("gen-data", "--spec", {"p": 3, "k": 3}, "n"),
+])
+def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
+                                                       option, payload, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    extra = {"gen-data": [], "sweep": ["--ks", "1,2"], "fit-deep": ["--k", 3]}[command]
+    if extra:
+        extra += ["--data", gen_dataset(tmp_path)]
+    capsys.readouterr()
+    code = run(command, option, config, "--out", tmp_path / "o", *extra)
+    assert code == cli.EXIT_CONFIG
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
