@@ -24,8 +24,9 @@ from .errors import (
     NumericalError,
     ParameterError,
     ParseError,
+    check_value,
 )
-from .numerics import MAX_MATCH_ROWS, pca_fit, pca_project, rng_create
+from .numerics import pca_fit, pca_project, rng_create
 from .svg import SvgChart
 
 EXIT_OK = 0
@@ -97,18 +98,31 @@ def _parse_weights(text: str, k: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Commands
 
+def _side_info_args(side_info) -> dict:
+    """The make_side_info arguments a spec's ``side_info`` object gives."""
+    if not isinstance(side_info, dict):
+        raise ParameterError(f"field 'side_info' must be an object, got {side_info!r}")
+    kind = side_info.get("kind", "mixture_projection")
+    j = side_info.get("j", 0)
+    w = side_info.get("w")
+    check_value("side_info.kind", kind, str)
+    check_value("side_info.j", j, int)
+    if w is not None and not isinstance(w, list):
+        raise ParameterError(f"field 'side_info.w' must be a list of numbers, got {w!r}")
+    for v in w or ():
+        check_value("side_info.w", v, float)
+    return {"kind": kind, "j": j, "w": w}
+
+
 def cmd_gen_data(args) -> int:
     started = time.monotonic()
     spec_dict = _load_json(args.spec, "spec")
     side_info = spec_dict.pop("side_info", None)
+    side_args = None if side_info is None else _side_info_args(side_info)
     spec = datasets.SyntheticSpec.from_dict(spec_dict)
     ds = datasets.make_synthetic(spec)
-    if side_info is not None:
-        ds = datasets.make_side_info(
-            ds, kind=side_info.get("kind", "mixture_projection"),
-            j=int(side_info.get("j", 0)),
-            w=side_info.get("w"),
-        )
+    if side_args is not None:
+        ds = datasets.make_side_info(ds, **side_args)
     out = _ensure_dir(args.out)
     datasets.write_csv(ds, str(out / "X.csv"))
     outputs = [out / "X.csv", out / "X.atrue.csv", out / "X.ztrue.csv"]
@@ -132,7 +146,7 @@ def cmd_fit_linear(args) -> int:
     ds = _read_dataset_dir_or_file(args.data)
     cfg = linear_aa.LinearAaConfig(
         k=args.k, max_outer_iters=args.max_iters, rel_tol=args.tol,
-        init=args.init, seed=args.seed,
+        seed=args.seed,
     )
     model = linear_aa.fit_linear_aa(ds.x, cfg)
     out = _ensure_dir(args.out)
@@ -155,7 +169,7 @@ def cmd_fit_linear(args) -> int:
     _write_manifest(
         out, "fit-linear",
         {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
-         "rel_tol": cfg.rel_tol, "init": cfg.init, "rss": model.rss,
+         "rel_tol": cfg.rel_tol, "rss": model.rss,
          "iterations": model.iterations, "converged": model.converged},
         {"seed": cfg.seed}, [args.data],
         [out / "model.json", out / "rss_log.csv", out / "pca_scatter.csv"],
@@ -207,17 +221,12 @@ def cmd_fit_deep(args) -> int:
     config = {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
               "side_info": bool(args.side_info)}
     if ds.z_true is not None and ds.z_true.shape[0] == arch.k:
-        if arch.k > MAX_MATCH_ROWS:
-            config["vertex_recovery_skipped"] = (
-                f"k={arch.k} exceeds the {MAX_MATCH_ROWS} rows that "
-                "exhaustive matching supports")
-        else:
-            report = deep_aa.vertex_recovery_report(model, ds)
-            datasets.atomic_write_text(
-                str(out / "vertex_recovery.json"),
-                json.dumps(report, indent=1, sort_keys=True) + "\n",
-            )
-            outputs.append(out / "vertex_recovery.json")
+        report = deep_aa.vertex_recovery_report(model, ds)
+        datasets.atomic_write_text(
+            str(out / "vertex_recovery.json"),
+            json.dumps(report, indent=1, sort_keys=True) + "\n",
+        )
+        outputs.append(out / "vertex_recovery.json")
     _write_manifest(out, "fit-deep", config, {"seed": hyper.seed},
                     [args.data], outputs, started)
     return EXIT_OK
@@ -334,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init", default="furthest_sum",
-                   choices=["furthest_sum", "random_rows"])
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)

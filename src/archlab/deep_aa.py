@@ -436,8 +436,8 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
     Row i of ``generation_decoded`` is the one-hot generation matched to
     true archetype i (``generation_true`` row i), so a large entry of
     ``generation_mean_abs_errors`` can be traced to the coordinates that
-    miss. Needs dataset.z_true with the same k as the model, and k at most
-    ``numerics.MAX_MATCH_ROWS``.
+    miss. Needs dataset.z_true with the same k as the model. Both matchings
+    use ``numerics.best_assignment``.
     """
     if dataset.z_true is None:
         raise MissingGroundTruth("vertex recovery needs Z_true")

@@ -56,12 +56,16 @@ _FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
                 str: (str, "a string")}
 
 
-def check_fields(obj, kind, *names) -> None:
-    """Raise ParameterError naming the first of the fields ``names`` of
-    ``obj`` whose value is not a ``kind``: int, float (an int will do) or
-    str. Booleans count as neither number."""
+def check_value(name: str, value, kind) -> None:
+    """Raise ParameterError naming the field ``name`` when ``value`` is not a
+    ``kind``: int, float (an int will do) or str. Booleans count as neither
+    number."""
     accepted, words = _FIELD_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ParameterError(f"field '{name}' must be {words}, got {value!r}")
+
+
+def check_fields(obj, kind, *names) -> None:
+    """:func:`check_value` on each of the fields ``names`` of ``obj``."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ParameterError(f"field '{name}' must be {words}, got {value!r}")
+        check_value(name, getattr(obj, name), kind)

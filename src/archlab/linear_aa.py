@@ -1,11 +1,13 @@
 """Linear archetypal analysis: X ~ A B X with row-stochastic A and B.
 
-The solver alternates between the two weight blocks. With B (hence the
-archetypes Z = B X) fixed, every row of A has an independent quadratic
-subproblem on the unit simplex, solved with a few Frank-Wolfe steps with
-exact line search. With A fixed, each row of B is updated the same way,
-cycling through the k rows. Every iterate stays feasible and the RSS is
-non-increasing by construction.
+The solver alternates between the two weight blocks. Both are made of
+least-squares problems on the unit simplex, and one routine, ``_fw_rows``,
+takes a few Frank-Wolfe steps with exact line search on all of them. It
+works in the image space of its dictionary, so no n x n matrix is formed.
+With B (hence the archetypes Z = B X) fixed, every row of A is an
+independent problem over the dictionary Z. With A fixed, the rows of B are
+updated one after another (Gauss-Seidel), each over the dictionary X.
+Every iterate stays feasible and the RSS is non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class LinearAaConfig:
     k: int
     max_outer_iters: int = 500
     rel_tol: float = 1e-6
-    init: str = "furthest_sum"  # or "random_rows"
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +36,6 @@ class LinearAaConfig:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.rel_tol <= 0:
             raise ParameterError("rel_tol must be > 0")
-        if self.init not in ("furthest_sum", "random_rows"):
-            raise ParameterError(f"unknown init '{self.init}'")
 
 
 @dataclass
@@ -50,52 +49,25 @@ class LinearAaModel:
     rss_history: list = field(default_factory=list)
 
 
-def _fw_rows_batch(a: np.ndarray, q: np.ndarray, lin: np.ndarray, steps: int) -> np.ndarray:
-    """Frank-Wolfe on independent simplex rows of A minimizing
-    ||X - A Z||^2, with Q = Z Z' and lin = X Z'. Vectorized over rows."""
+def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
+             steps: int) -> np.ndarray:
+    """Frank-Wolfe with exact line search on independent simplex rows: row i
+    of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Ties in the
+    gradient go to the lowest index."""
+    rows = np.arange(w.shape[0])
     for _ in range(steps):
-        grad = a @ q - lin  # proportional to the true gradient (factor 2)
+        image = w @ dictionary
+        grad = (image - target) @ dictionary.T  # half the true gradient
         j = np.argmin(grad, axis=1)
-        d = -a.copy()
-        d[np.arange(a.shape[0]), j] += 1.0
-        slope = np.einsum("ij,ij->i", grad, d)
-        curvature = np.einsum("ij,jk,ik->i", d, q, d)
-        gamma = np.zeros(a.shape[0])
-        move = (slope < 0.0) & (curvature > 0.0)
-        gamma[move] = np.minimum(1.0, -slope[move] / curvature[move])
-        gamma[(slope < 0.0) & (curvature <= 0.0)] = 1.0
-        a = a + gamma[:, None] * d
-    return a
-
-
-def _update_b_row(b: np.ndarray, j: int, a: np.ndarray, x: np.ndarray, steps: int) -> None:
-    """Frank-Wolfe on row j of B, other rows fixed, minimizing ||X - A B X||^2."""
-    a_j = a[:, j]
-    aj2 = float(a_j @ a_j)
-    if aj2 == 0.0:  # archetype j unused by A; objective is flat in this row
-        return
-    z = b @ x
-    residual = x - a @ z + np.outer(a_j, z[j])
-    lin = x @ (residual.T @ a_j)  # (n,)
-    xxt_action = None
-    row = b[j]
-    for _ in range(steps):
-        y = row @ x  # (p,)
-        grad = 2.0 * (aj2 * (x @ y) - lin)
-        i = int(np.argmin(grad))
-        # direction d = e_i - row; work with its image d @ X to avoid n x n forms
-        dx = x[i] - y
-        slope = float(grad[i] - grad @ row)
-        if slope >= 0.0:
-            break
-        curvature = 2.0 * aj2 * float(dx @ dx)
-        if curvature <= 0.0:
-            gamma = 1.0
-        else:
-            gamma = min(1.0, -slope / curvature)
-        row = row * (1.0 - gamma)
-        row[i] += gamma
-    b[j] = row
+        slope = grad[rows, j] - np.einsum("ij,ij->i", grad, w)
+        move = dictionary[j] - image  # image of the direction e_j - w
+        curvature = np.einsum("ij,ij->i", move, move)
+        ratio = np.divide(-slope, curvature, out=np.ones_like(slope),
+                          where=curvature > 0.0)
+        gamma = np.where(slope < 0.0, np.minimum(1.0, ratio), 0.0)
+        w = w * (1.0 - gamma)[:, None]
+        w[rows, j] += gamma
+    return w
 
 
 def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -125,12 +97,8 @@ def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _init_b(x: np.ndarray, cfg: LinearAaConfig) -> np.ndarray:
-    n = x.shape[0]
-    if cfg.init == "furthest_sum" and n > cfg.k:
-        idx = furthest_sum_indices(x, cfg.k, cfg.seed)
-    else:
-        idx = rng_create(cfg.seed).choice(n, size=cfg.k, replace=False)
-    b = np.zeros((cfg.k, n))
+    idx = furthest_sum_indices(x, cfg.k, cfg.seed)
+    b = np.zeros((cfg.k, x.shape[0]))
     b[np.arange(cfg.k), np.sort(idx)] = 1.0
     return b
 
@@ -150,11 +118,14 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     iterations = 0
     for outer in range(cfg.max_outer_iters):
         iterations = outer + 1
-        q = z @ z.T
-        lin = x @ z.T
-        a = _fw_rows_batch(a, q, lin, _INNER_FW_STEPS)
+        a = _fw_rows(a, z, x, _INNER_FW_STEPS)
         for j in range(cfg.k):
-            _update_b_row(b, j, a, x, _INNER_FW_STEPS)
+            weight = float(a[:, j] @ a[:, j])
+            if weight == 0.0:  # archetype j unused by A; objective is flat in B[j]
+                continue
+            target = (x - a @ z).T @ a[:, j] / weight + z[j]
+            b[j] = _fw_rows(b[j:j + 1], x, target[None], _INNER_FW_STEPS)[0]
+            z[j] = b[j] @ x
         z = b @ x
         rss_now = float(np.sum((x - a @ z) ** 2))
         if not np.isfinite(rss_now):
@@ -175,9 +146,10 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
 
 
 _ENUM_MAX_K = 12
+_TRANSFORM_FW_STEPS = 2000
 
 
-def transform(x, z, steps: int = 2000) -> np.ndarray:
+def transform(x, z) -> np.ndarray:
     """Optimal simplex weights A for fixed archetypes Z.
 
     For k <= 12 the simplex-constrained least-squares problem is solved
@@ -185,7 +157,7 @@ def transform(x, z, steps: int = 2000) -> np.ndarray:
     constrained optimum on that support is computed from its KKT system,
     and the best feasible candidate is kept (the true optimum's support is
     among the subsets, so this attains the global minimum). Larger k falls
-    back to ``steps`` Frank-Wolfe iterations.
+    back to 2000 Frank-Wolfe steps.
     """
     x = as_matrix(x, "X")
     z = as_matrix(z, "Z")
@@ -195,7 +167,7 @@ def transform(x, z, steps: int = 2000) -> np.ndarray:
         return np.ones((n, 1))
     if k > _ENUM_MAX_K:
         a = np.full((n, k), 1.0 / k)
-        return _fw_rows_batch(a, z @ z.T, x @ z.T, steps)
+        return _fw_rows(a, z, x, _TRANSFORM_FW_STEPS)
     gram = z @ z.T
     lin = x @ z.T  # (n, k)
     best_obj = np.full(n, np.inf)

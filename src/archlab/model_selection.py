@@ -15,7 +15,7 @@ from .numerics import rng_create
 TEST_FRACTION = 0.1
 
 # config keys each fitter passes on; k and the seeds come from the sweep
-_LINEAR_KEYS = {"max_outer_iters", "rel_tol", "init"}
+_LINEAR_KEYS = {"max_outer_iters", "rel_tol"}
 _DEEP_KEYS = {
     "arch": {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim"},
     "hyper": {f.name for f in fields(deep_aa.DeepAaHyper)},

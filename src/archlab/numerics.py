@@ -10,7 +10,6 @@ Dirichlet draws are normalized gamma variates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -146,29 +145,30 @@ def pca_fit(x, q: int) -> PcaModel:
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
-# the search visits k! assignments: 362 880 at k = 9
-MAX_MATCH_ROWS = 9
-
-
 def best_assignment(cost) -> list:
     """One-to-one assignment of rows to columns of the square ``cost``
-    matrix minimizing the total cost, by exhaustive search: row j goes to
-    column perm[j].
+    matrix minimizing the total cost: row j goes to column perm[j].
 
-    Totals are summed in row order and only a strictly smaller total
-    replaces the best so far, so a tie goes to the permutation that comes
-    first in lexicographic order.
+    A dynamic programme over the sets of columns the first rows take
+    (k * 2^k states): ``rest[taken]`` is the least cost of the remaining
+    rows on the remaining columns. Rows are then assigned in order, each to
+    the lowest column that keeps the least total, so a tie goes to the
+    permutation that comes first in lexicographic order.
     """
+    cost = np.asarray(cost, float).tolist()
     k = len(cost)
-    if k > MAX_MATCH_ROWS:
-        raise DimensionError(
-            f"exhaustive matching supports at most {MAX_MATCH_ROWS} rows")
-    best_perm, best_total = None, np.inf
-    for perm in permutations(range(k)):
-        total = sum(cost[j][perm[j]] for j in range(k))
-        if total < best_total:
-            best_total, best_perm = total, perm
-    return list(best_perm)
+    rest = [0.0] * (1 << k)
+    for taken in range((1 << k) - 2, -1, -1):
+        row = cost[taken.bit_count()]
+        rest[taken] = min(row[c] + rest[taken | 1 << c]
+                          for c in range(k) if not taken >> c & 1)
+    perm, taken = [], 0
+    for row in cost:
+        c = next(c for c in range(k) if not taken >> c & 1
+                 and row[c] + rest[taken | 1 << c] == rest[taken])
+        perm.append(c)
+        taken |= 1 << c
+    return perm
 
 
 def match_rows(estimated, truth):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from archlab import deep_aa
+from archlab import deep_aa, linear_aa
 from archlab.datasets import Dataset
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -29,4 +29,21 @@ def test_traced_training_reports_every_deep_layer(monkeypatch):
     for name in ("autodiff.backward_ms_per_step", "autodiff.nodes_per_step",
                  "nn.forward_ms_per_step", "nn.adam_ms_per_step",
                  "nn.zero_grad_ms_per_step", "deep_aa.encode_rows_per_s"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_fit_reports_every_linear_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    x = np.random.default_rng(1).normal(size=(60, 3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = linear_aa.fit_linear_aa(x, linear_aa.LinearAaConfig(k=3))
+        linear_aa.transform(x, model.z)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, 1, 1)
+    for name in ("linear_aa.fit_s", "linear_aa.outer_iters", "linear_aa.init_s",
+                 "linear_aa.transform_rows_per_s"):
         assert metrics[name] > 0, name

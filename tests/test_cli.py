@@ -150,14 +150,13 @@ class TestFitDeep:
         report = json.loads((out / "vertex_recovery.json").read_text())
         assert "archetype_loss" in report
 
-    def test_k_beyond_matching_limit_skips_vertex_recovery(self, tmp_path):
-        # the exhaustive vertex matching supports at most 9 archetypes
+    def test_k_ten_writes_vertex_recovery(self, tmp_path):
         data = gen_dataset(tmp_path, p=10, k=10)
         code, out = self.fit(tmp_path, data, k=10)
         assert code == cli.EXIT_OK
-        assert not (out / "vertex_recovery.json").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "k=10" in manifest["config"]["vertex_recovery_skipped"]
+        report = json.loads((out / "vertex_recovery.json").read_text())
+        assert sorted(report["vertex_assignment"]) == list(range(10))
+        assert sorted(report["generation_assignment"]) == list(range(10))
 
     def test_rerun_byte_identical(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -313,6 +312,19 @@ class TestPlot:
     ("fit-deep", "--arch", {"encoder_hidden": 64}, "encoder_hidden"),
     ("gen-data", "--spec", {"n": "x", "p": 3, "k": 3}, "n"),
     ("gen-data", "--spec", {"p": 3, "k": 3}, "n"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": 3}, "side_info"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": {"kind": 1}},
+     "side_info.kind"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": {"j": "x"}},
+     "side_info.j"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": {"j": 1.5}},
+     "side_info.j"),
+    ("gen-data", "--spec",
+     {"n": 9, "p": 3, "k": 3, "side_info": {"kind": "linear_combo", "w": "x"}},
+     "side_info.w"),
+    ("gen-data", "--spec",
+     {"n": 9, "p": 3, "k": 3, "side_info": {"kind": "linear_combo", "w": [1, "x", 0]}},
+     "side_info.w"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):

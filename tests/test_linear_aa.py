@@ -111,20 +111,36 @@ class TestFwRowStep:
         np.testing.assert_allclose(out, target, atol=1e-12)
 
     def test_batched_step_matches_scalar_oracle(self):
-        # rows on a grid of quarters and an integer Z keep A Q exact, so
-        # rows given lin = A Q + v have gradient exactly -v and ties in it
+        # an A-block: Z has orthogonal integer rows with Z Z' = 4 I, and
+        # rows on a grid of quarters keep A Z exact, so the even rows given
+        # x = A Z - g Z / 4 have a half gradient of exactly g, with ties
+        # at its minimum
         rng = rng_create(13)
         n, k = 40, 4
-        z = rng.integers(-3, 4, size=(k, 3)).astype(float)
+        z = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                     dtype=float)
         q = z @ z.T
         a = np.array([np.bincount(rng.integers(k, size=4), minlength=k) / 4.0
                       for _ in range(n)])
-        lin = rng.standard_normal((n, 3)) @ z.T
-        ties = rng.permuted(np.tile([1.0, 1.0, 0.0, -1.0], (n // 2, 1)), axis=1)
-        lin[::2] = a[::2] @ q + ties
-        stepped = linear_aa._fw_rows_batch(a, q, lin, 1)
-        for row, a_row, lin_row in zip(stepped, a, lin):
-            oracle = fw_row_step(2.0 * (a_row @ q - lin_row), a_row, q)
+        x = rng.standard_normal((n, 4))
+        ties = rng.permuted(np.tile([-1.0, -1.0, 0.0, 1.0], (n // 2, 1)), axis=1)
+        x[::2] = a[::2] @ z - ties @ z / 4.0
+        stepped = linear_aa._fw_rows(a, z, x, 1)
+        for row, a_row, x_row in zip(stepped, a, x):
+            oracle = fw_row_step(2.0 * (a_row @ q - z @ x_row), a_row, q)
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_b_row_step_matches_scalar_oracle(self):
+        # B-rows: simplex weights over the 7 rows of X with Q = X X', each
+        # row pulled towards its own target point
+        rng = rng_create(14)
+        x = rng.standard_normal((7, 3))
+        q = x @ x.T
+        b = numerics.rng_dirichlet_matrix(rng, np.ones(7), 20)
+        target = rng.standard_normal((20, 3))
+        stepped = linear_aa._fw_rows(b, x, target, 1)
+        for row, b_row, t_row in zip(stepped, b, target):
+            oracle = fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
 
@@ -217,8 +233,6 @@ class TestFit:
             linear_aa.LinearAaConfig(k=0)
         with pytest.raises(ParameterError):
             linear_aa.LinearAaConfig(k=1, rel_tol=0.0)
-        with pytest.raises(ParameterError):
-            linear_aa.LinearAaConfig(k=1, init="bogus")
 
 
 class TestOracle:
@@ -245,7 +259,7 @@ class TestTransform:
         rng = rng_create(11)
         z = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         w = numerics.rng_dirichlet_matrix(rng, np.full(3, 2.0), 50)
-        a = linear_aa.transform(w @ z, z, steps=2000)
+        a = linear_aa.transform(w @ z, z)
         np.testing.assert_allclose(a @ z, w @ z, atol=1e-4)
 
     def test_rows_on_simplex(self):

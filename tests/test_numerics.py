@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,7 +213,21 @@ class TestMatchRows:
         cost = np.array([[3.0, 1.0, 1.0], [1.0, 3.0, 3.0], [3.0, 3.0, 3.0]])
         assert numerics.best_assignment(cost) == [1, 0, 2]
 
-    def test_rejects_more_rows_than_the_search_supports(self):
-        k = numerics.MAX_MATCH_ROWS + 1
-        with pytest.raises(DimensionError):
-            numerics.best_assignment(np.zeros((k, k)))
+    def test_matches_ten_rows(self):
+        rng = numerics.rng_create(10)
+        truth = rng.standard_normal((10, 4))
+        shuffle = [4, 9, 0, 7, 2, 8, 1, 6, 3, 5]
+        perm, errors = numerics.match_rows(truth[shuffle], truth)
+        assert [shuffle[i] for i in perm] == list(range(10))
+        np.testing.assert_allclose(errors, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_agrees_with_exhaustive_search(self, k):
+        # the first permutation in lexicographic order with the least
+        # total, summed in row order; integer costs make exact ties common
+        rng = numerics.rng_create(20 + k)
+        for trial in range(30):
+            cost = rng.random((k, k)) if trial % 2 else rng.integers(0, 3, (k, k)) * 1.0
+            expected = min(permutations(range(k)),
+                           key=lambda perm: sum(cost[j][perm[j]] for j in range(k)))
+            assert numerics.best_assignment(cost) == list(expected)
