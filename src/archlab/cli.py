@@ -24,6 +24,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ParseError,
+    check_keys,
     check_value,
 )
 from .numerics import pca_fit, pca_project, rng_create
@@ -100,8 +101,7 @@ def _parse_weights(text: str, k: int | None = None) -> np.ndarray:
 
 def _side_info_args(side_info) -> dict:
     """The make_side_info arguments a spec's ``side_info`` object gives."""
-    if not isinstance(side_info, dict):
-        raise ParameterError(f"field 'side_info' must be an object, got {side_info!r}")
+    check_keys(side_info, ("kind", "j", "w"), "field 'side_info'")
     kind = side_info.get("kind", "mixture_projection")
     j = side_info.get("j", 0)
     w = side_info.get("w")
@@ -247,7 +247,8 @@ def cmd_sweep(args) -> int:
                               str(out / "curve.csv"))
     _write_manifest(out, "sweep",
                     {"ks": ks, "fit": args.fit, "config": cfg,
-                     "chosen_k": curve.chosen_k, "failures": curve.failures},
+                     "chosen_k": curve.chosen_k, "failures": curve.failures,
+                     "stops": curve.stops},
                     {"seed": args.seed}, [args.data], [out / "curve.csv"],
                     started)
     return EXIT_OK

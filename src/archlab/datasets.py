@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     SchemaVersionError,
     check_fields,
+    check_keys,
 )
 from .numerics import rng_create, simplex_vertices
 
@@ -82,10 +83,13 @@ class SyntheticSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SyntheticSpec":
+        check_keys(d, ("n", "p", "k", "sigma2", "embed_seed", "sample_seed", "warp",
+                       "alpha"), "spec")
         warp = d.get("warp", "none")
         if warp == "none" or warp is None:
             kind, dim = "none", 0
         elif isinstance(warp, dict):
+            check_keys(warp, ("kind", "dim"), "spec 'warp'")
             kind = warp.get("kind", "")
             if kind != "exp":
                 raise ParameterError(f"unknown warp kind '{kind}' in field 'warp'")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
-                     check_fields)
+                     check_fields, check_keys)
 from .nn import Adam, Mlp
 from .numerics import (SimplexFrame, best_assignment, match_rows, rng_create,
                        simplex_vertices)
@@ -87,7 +87,8 @@ class DeepAaArch:
 
     @staticmethod
     def from_dict(d: dict) -> "DeepAaArch":
-        return DeepAaArch(**{f.name: d[f.name] for f in fields(DeepAaArch) if f.name in d})
+        check_keys(d, {f.name for f in fields(DeepAaArch)}, "arch config")
+        return DeepAaArch(**d)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ class DeepAaHyper:
 
     @staticmethod
     def from_dict(d: dict) -> "DeepAaHyper":
-        return DeepAaHyper(**{k: d[k] for k in DeepAaHyper().to_dict() if k in d})
+        check_keys(d, {f.name for f in fields(DeepAaHyper)}, "hyper config")
+        return DeepAaHyper(**d)
 
 
 class DeepAaModel:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all archlab modules, and the type check
-of configuration fields that raises them."""
+"""Exception hierarchy shared by all archlab modules, and the checks of
+configuration keys and fields that raise them."""
 
 from numbers import Integral, Real
 
@@ -69,3 +69,14 @@ def check_fields(obj, kind, *names) -> None:
     """:func:`check_value` on each of the fields ``names`` of ``obj``."""
     for name in names:
         check_value(name, getattr(obj, name), kind)
+
+
+def check_keys(d, allowed, where: str) -> None:
+    """Raise ParameterError unless ``d`` is a dict whose keys are all in
+    ``allowed``, naming every unknown key; ``where`` names ``d``."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"{where} must be an object, got {d!r}")
+    unknown = " and ".join(f"field '{key}'" for key in sorted(set(d) - set(allowed)))
+    if unknown:
+        raise ParameterError(
+            f"unknown {unknown} in {where}; expected some of {sorted(allowed)}")

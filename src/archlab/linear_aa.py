@@ -2,8 +2,8 @@
 
 The solver alternates between the two weight blocks. Both are made of
 least-squares problems on the unit simplex, and one routine, ``_fw_rows``,
-takes a few Frank-Wolfe steps with exact line search on all of them. It
-works in the image space of its dictionary, so no n x n matrix is formed.
+takes a few pairwise Frank-Wolfe steps with exact line search on all of
+them, in the image space of its dictionary, so no n x n matrix is formed.
 With B (hence the archetypes Z = B X) fixed, every row of A is an
 independent problem over the dictionary Z. With A fixed, the rows of B are
 updated one after another (Gauss-Seidel), each over the dictionary X.
@@ -51,22 +51,26 @@ class LinearAaModel:
 
 def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
              steps: int) -> np.ndarray:
-    """Frank-Wolfe with exact line search on independent simplex rows: row i
-    of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Ties in the
-    gradient go to the lowest index."""
-    rows = np.arange(w.shape[0])
+    """Pairwise Frank-Wolfe with exact line search on independent simplex
+    rows: row i of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Each
+    step moves weight from the support atom with the largest gradient to the
+    atom with the smallest (lowest index on ties), up to all of it."""
+    w = w.copy()
+    # w[i, c] is flat[start[i] + c]: one flat index is faster than a pair
+    flat, start = w.reshape(-1), np.arange(0, w.size, w.shape[1])
     for _ in range(steps):
-        image = w @ dictionary
-        grad = (image - target) @ dictionary.T  # half the true gradient
+        grad = (w @ dictionary - target) @ dictionary.T  # half the true gradient
         j = np.argmin(grad, axis=1)
-        slope = grad[rows, j] - np.einsum("ij,ij->i", grad, w)
-        move = dictionary[j] - image  # image of the direction e_j - w
+        a = np.argmax(np.where(w > 0.0, grad, -np.inf), axis=1)
+        fj, fa = start + j, start + a
+        slope = np.take(grad, fj) - np.take(grad, fa)
+        move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
         curvature = np.einsum("ij,ij->i", move, move)
-        ratio = np.divide(-slope, curvature, out=np.ones_like(slope),
-                          where=curvature > 0.0)
-        gamma = np.where(slope < 0.0, np.minimum(1.0, ratio), 0.0)
-        w = w * (1.0 - gamma)[:, None]
-        w[rows, j] += gamma
+        cap = flat[fa]
+        ratio = np.divide(-slope, curvature, out=cap.copy(), where=curvature > 0.0)
+        gamma = np.where(slope < 0.0, np.minimum(cap, ratio), 0.0)
+        flat[fa] -= gamma
+        flat[fj] += gamma
     return w
 
 
@@ -104,8 +108,8 @@ def _init_b(x: np.ndarray, cfg: LinearAaConfig) -> np.ndarray:
 
 
 def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
-    """Alternating Frank-Wolfe fit of the archetypal factorization."""
-    x = as_matrix(x, "X")
+    """Alternating pairwise Frank-Wolfe fit of the archetypal factorization."""
+    x = np.ascontiguousarray(as_matrix(x, "X"))  # np.take copies a strided X
     n, _ = x.shape
     if cfg.k > n:
         raise DimensionError(f"k={cfg.k} exceeds number of rows n={n}")
@@ -115,9 +119,7 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     rss_prev = float(np.sum((x - a @ z) ** 2))
     history = [rss_prev]
     converged = False
-    iterations = 0
-    for outer in range(cfg.max_outer_iters):
-        iterations = outer + 1
+    for _ in range(cfg.max_outer_iters):
         a = _fw_rows(a, z, x, _INNER_FW_STEPS)
         for j in range(cfg.k):
             weight = float(a[:, j] @ a[:, j])
@@ -131,16 +133,14 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
         if not np.isfinite(rss_now):
             raise NumericalError("RSS became non-finite during fitting")
         history.append(rss_now)
-        denom = max(rss_prev, 1e-30)
-        if (rss_prev - rss_now) / denom < cfg.rel_tol:
-            converged = True
-            rss_prev = rss_now
-            break
+        converged = (rss_prev - rss_now) / max(rss_prev, 1e-30) < cfg.rel_tol
         rss_prev = rss_now
+        if converged:
+            break
     check_finite(a, "A")
     check_finite(b, "B")
     return LinearAaModel(
-        a=a, b=b, z=z, rss=rss_prev, iterations=iterations,
+        a=a, b=b, z=z, rss=rss_prev, iterations=len(history) - 1,
         converged=converged, rss_history=history,
     )
 

@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import deep_aa, linear_aa
-from .errors import ArchlabError, InsufficientPoints, ParameterError
+from .errors import ArchlabError, InsufficientPoints, ParameterError, check_keys
 from .numerics import rng_create
 
 TEST_FRACTION = 0.1
-
-# config keys each fitter passes on; k and the seeds come from the sweep
-_LINEAR_KEYS = {"max_outer_iters", "rel_tol"}
-_DEEP_KEYS = {
-    "arch": {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim"},
-    "hyper": {f.name for f in fields(deep_aa.DeepAaHyper)},
-}
 
 
 @dataclass
@@ -28,6 +19,8 @@ class SelectionCurve:
     losses: list  # test reconstruction MSE per k; None marks a failed fit
     chosen_k: int | None = None
     failures: dict = field(default_factory=dict)  # k -> why its fit failed
+    # k -> {"iterations", "converged"}: how each linear fit stopped
+    stops: dict = field(default_factory=dict)
 
 
 def split_train_test(n: int, seed: int):
@@ -48,7 +41,8 @@ def _linear_test_mse(dataset, k, cfg_overrides, seed):
     model = linear_aa.fit_linear_aa(dataset.x[train_idx], cfg)
     x_test = dataset.x[test_idx]
     a_test = linear_aa.transform(x_test, model.z)
-    return float(np.mean((x_test - a_test @ model.z) ** 2))
+    stop = {"iterations": model.iterations, "converged": model.converged}
+    return float(np.mean((x_test - a_test @ model.z) ** 2)), stop
 
 
 def _deep_test_mse(dataset, k, cfg_overrides, seed):
@@ -67,29 +61,17 @@ def _deep_test_mse(dataset, k, cfg_overrides, seed):
     x_test = dataset.x[test_idx]
     _, _, _, mu = model.encode(x_test)
     x_hat, _ = model.decode(mu)
-    return float(np.mean((x_test - x_hat) ** 2))
-
-
-def _check_keys(cfg, allowed, where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ParameterError(f"{where} must be a JSON object")
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ParameterError(
-            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-            f"expected some of {sorted(allowed)}")
+    return float(np.mean((x_test - x_hat) ** 2)), None
 
 
 def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
           seed: int = 0) -> SelectionCurve:
     """Fit one model per archetype count and record test reconstruction MSE.
 
-    Per-k fits may run in parallel (capped by ARCHLAB_THREADS); results are
-    merged by k, so the curve does not depend on scheduling. A fit that
-    raises an ArchlabError is recorded as a missing point, with the reason
-    in ``failures``, rather than aborting the sweep; a config key the
-    fitter does not take, or a value no k could use, is rejected before
-    any fit runs.
+    A fit that raises an ArchlabError is recorded as a missing point, with
+    the reason in ``failures``, rather than aborting the sweep; a config key
+    the fitter does not take, or a value no k could use, is rejected before
+    any fit runs. ``stops`` records how each linear fit stopped.
     """
     ks = list(ks)
     if not ks:
@@ -97,41 +79,35 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
     cfg = {} if cfg is None else cfg
-    # a config value of the wrong type or range is wrong for every k, so it
-    # is rejected before any fit; any valid count stands in for k
+    # a config key the fitter does not take (k and the seeds come from the
+    # sweep), or a value of the wrong type or range, is wrong for every k,
+    # so it is rejected before any fit; any valid count stands in for k
     if fit == "linear":
         worker = _linear_test_mse
-        _check_keys(cfg, _LINEAR_KEYS, "sweep config")
+        check_keys(cfg, ("max_outer_iters", "rel_tol"), "sweep config")
         linear_aa.LinearAaConfig(**cfg, k=1)
     elif fit == "deep":
         worker = _deep_test_mse
-        _check_keys(cfg, _DEEP_KEYS, "sweep config")
-        for group, allowed in _DEEP_KEYS.items():
-            _check_keys(cfg.get(group, {}), allowed, f"sweep config '{group}'")
-        deep_aa.DeepAaArch(**{**cfg.get("arch", {}), "input_dim": 1, "k": 2})
-        deep_aa.DeepAaHyper(**cfg.get("hyper", {}))
+        check_keys(cfg, ("arch", "hyper"), "sweep config")
+        arch = cfg.get("arch", {})
+        check_keys(arch, {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim"},
+                   "sweep config 'arch'")
+        deep_aa.DeepAaArch(**{**arch, "input_dim": 1, "k": 2})
+        deep_aa.DeepAaHyper.from_dict(cfg.get("hyper", {}))
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
 
-    failures = {}
-
-    def run(k):
+    curve = SelectionCurve(ks=ks, losses=[])
+    for k in ks:
         try:
-            return worker(dataset, k, cfg, seed)
+            loss, stop = worker(dataset, k, cfg, seed)
         except ArchlabError as exc:
-            failures[k] = f"{type(exc).__name__}: {exc}"
-            return None
-
-    threads = max(1, int(os.environ.get("ARCHLAB_THREADS", "1")))
-    if threads > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(ks))) as pool:
-            losses = list(pool.map(run, ks))
-    else:
-        losses = [run(k) for k in ks]
-
-    curve = SelectionCurve(ks=ks, losses=losses,
-                           failures={k: failures[k] for k in ks if k in failures})
-    usable = [(k, l) for k, l in zip(ks, losses) if l is not None]
+            curve.failures[k] = f"{type(exc).__name__}: {exc}"
+            loss, stop = None, None
+        curve.losses.append(loss)
+        if stop is not None:
+            curve.stops[k] = stop
+    usable = [(k, l) for k, l in zip(ks, curve.losses) if l is not None]
     if len(usable) == 1:
         curve.chosen_k = usable[0][0]
     elif len(usable) >= 3:

@@ -224,6 +224,17 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["failures"]["200"].startswith("DimensionError")
 
+    def test_manifest_records_how_each_fit_stopped(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "o"
+        assert run("sweep", "--data", data, "--ks", "1,2,3",
+                   "--out", out) == cli.EXIT_OK
+        stops = json.loads((out / "manifest.json").read_text())["config"]["stops"]
+        assert sorted(stops) == ["1", "2", "3"]
+        for stop in stops.values():
+            assert sorted(stop) == ["converged", "iterations"]
+            assert isinstance(stop["converged"], bool) and stop["iterations"] >= 1
+
 
 class TestInterpolateAndSample:
     @pytest.fixture
@@ -325,6 +336,11 @@ class TestPlot:
     ("gen-data", "--spec",
      {"n": 9, "p": 3, "k": 3, "side_info": {"kind": "linear_combo", "w": [1, "x", 0]}},
      "side_info.w"),
+    # misspelled keys are rejected, not left out in favour of a default
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "sigma": 0.5}, "sigma"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": {"J": 1}}, "J"),
+    ("fit-deep", "--hyper", {"learning_rate": 0.01}, "learning_rate"),
+    ("fit-deep", "--arch", {"hidden": [8]}, "hidden"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):

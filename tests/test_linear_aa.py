@@ -54,28 +54,33 @@ def brute_force_rss(x, k, step=0.02):
     return best
 
 
-def fw_row_step(grad_row, current, quadratic):
-    """One Frank-Wolfe step on the unit simplex for a quadratic objective
-    (scalar test oracle for the solver's batched step).
+def pairwise_fw_row_step(grad_row, current, quadratic):
+    """One pairwise Frank-Wolfe step on the unit simplex for a quadratic
+    objective (scalar test oracle for the solver's batched step).
 
     The objective is f(x) = x' Q x + c' x with Q = ``quadratic`` (PSD) and
-    gradient ``grad_row`` at ``current``. The linear minimization oracle
-    picks the lowest gradient coordinate (lowest index on ties) and the
-    step size is the exact minimizer of f along the segment, clipped to
-    [0, 1].
+    gradient ``grad_row`` at ``current``. Weight moves from the away atom,
+    the support coordinate with the highest gradient, to the toward atom,
+    the coordinate with the lowest gradient; both break ties to the lowest
+    index. The step size is the exact minimizer of f along that direction,
+    capped at the away atom's weight.
     """
-    j = int(np.argmin(grad_row))
-    direction = -current.copy()
-    direction[j] += 1.0
+    toward = int(np.argmin(grad_row))
+    support = np.flatnonzero(current > 0.0)
+    away = int(support[np.argmax(grad_row[support])])
+    direction = np.zeros_like(current)
+    direction[toward] += 1.0
+    direction[away] -= 1.0
     slope = float(grad_row @ direction)
     if slope >= 0.0:
         return current
     curvature = float(direction @ quadratic @ direction)
-    if curvature <= 0.0:
-        gamma = 1.0
-    else:
-        gamma = min(1.0, -slope / (2.0 * curvature))
-    return current + gamma * direction
+    cap = float(current[away])
+    gamma = cap if curvature <= 0.0 else min(cap, -slope / (2.0 * curvature))
+    out = current.copy()
+    out[away] -= gamma
+    out[toward] += gamma
+    return out
 
 
 class TestFwRowStep:
@@ -84,37 +89,56 @@ class TestFwRowStep:
         q = np.eye(3)
         current = np.array([0.2, 0.3, 0.5])
         grad = rng.standard_normal(3)
-        out = fw_row_step(grad, current, q)
+        out = pairwise_fw_row_step(grad, current, q)
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0)
 
     def test_no_move_at_optimum(self):
-        # gradient uniform: every vertex direction has slope 0
+        # gradient uniform: every pairwise direction has slope 0
         current = np.array([0.5, 0.5])
-        out = fw_row_step(np.array([1.0, 1.0]), current, np.eye(2))
+        out = pairwise_fw_row_step(np.array([1.0, 1.0]), current, np.eye(2))
         np.testing.assert_array_equal(out, current)
 
     def test_tie_breaks_lowest_index(self):
-        current = np.array([0.0, 0.0, 1.0])
-        grad = np.array([-1.0, -1.0, 0.0])
-        out = fw_row_step(grad, current, np.zeros((3, 3)))
-        assert out[0] == 1.0  # moved fully toward vertex 0, not 1
+        # toward atoms 0 and 1 tie, away atoms 2 and 3 tie; with no
+        # curvature the step takes all of the away atom's weight
+        current = np.array([0.0, 0.0, 0.5, 0.5])
+        grad = np.array([-1.0, -1.0, 1.0, 1.0])
+        out = pairwise_fw_row_step(grad, current, np.zeros((4, 4)))
+        np.testing.assert_array_equal(out, [0.5, 0.0, 0.0, 0.5])
 
     def test_exact_line_search_quadratic(self):
-        # minimize ||b - x||^2 over the segment from e2 toward e1 with
-        # Q = I: optimum gamma = -slope/(2*curvature)
+        # minimize ||b - x||^2 over the line from e2 toward e1 with Q = I:
+        # optimum gamma = -slope/(2*curvature), inside the cap
         q = np.eye(2)
         target = np.array([0.7, 0.3])
         current = np.array([0.0, 1.0])
-        grad = 2 * (current - target)
-        out = fw_row_step(grad, current, q)
+        out = pairwise_fw_row_step(2 * (current - target), current, q)
         np.testing.assert_allclose(out, target, atol=1e-12)
+        # a target beyond e1: the step stops at the away atom's weight
+        target = np.array([1.5, -0.5])
+        current = np.array([0.2, 0.8])
+        out = pairwise_fw_row_step(2 * (current - target), current, q)
+        np.testing.assert_array_equal(out, [1.0, 0.0])
+
+    def test_drop_step_reaches_face_exactly(self):
+        # the target lies beyond the edge between atoms 1 and 2, so the
+        # optimum is on that edge; from an interior start the weight of
+        # atom 0 becomes exactly zero, which a plain Frank-Wolfe step,
+        # scaling every weight by 1 - gamma, reaches only with gamma = 1
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        start = np.array([[0.2, 0.4, 0.4], [0.6, 0.3, 0.1]])
+        target = np.array([[1.0, 1.0], [1.0, 1.0]])
+        w = linear_aa._fw_rows(start, z, target, 4)
+        np.testing.assert_array_equal(w[:, 0], 0.0)
+        np.testing.assert_allclose(w, [[0.0, 0.5, 0.5]] * 2, atol=1e-12)
+        np.testing.assert_array_equal(start[0], [0.2, 0.4, 0.4])  # input kept
 
     def test_batched_step_matches_scalar_oracle(self):
         # an A-block: Z has orthogonal integer rows with Z Z' = 4 I, and
         # rows on a grid of quarters keep A Z exact, so the even rows given
-        # x = A Z - g Z / 4 have a half gradient of exactly g, with ties
-        # at its minimum
+        # x = A Z - g Z / 4 have a half gradient of exactly g, with ties at
+        # its minimum and at its maximum
         rng = rng_create(13)
         n, k = 40, 4
         z = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
@@ -123,11 +147,13 @@ class TestFwRowStep:
         a = np.array([np.bincount(rng.integers(k, size=4), minlength=k) / 4.0
                       for _ in range(n)])
         x = rng.standard_normal((n, 4))
-        ties = rng.permuted(np.tile([-1.0, -1.0, 0.0, 1.0], (n // 2, 1)), axis=1)
+        ties = rng.permuted(np.tile([-1.0, -1.0, 1.0, 1.0], (n // 2, 1)), axis=1)
         x[::2] = a[::2] @ z - ties @ z / 4.0
+        # some rows hold weight on both maximal atoms: the away atom ties
+        assert np.sum(np.all(a[::2][ties == 1.0].reshape(-1, 2) > 0, axis=1)) >= 3
         stepped = linear_aa._fw_rows(a, z, x, 1)
         for row, a_row, x_row in zip(stepped, a, x):
-            oracle = fw_row_step(2.0 * (a_row @ q - z @ x_row), a_row, q)
+            oracle = pairwise_fw_row_step(2.0 * (a_row @ q - z @ x_row), a_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
     def test_b_row_step_matches_scalar_oracle(self):
@@ -140,7 +166,7 @@ class TestFwRowStep:
         target = rng.standard_normal((20, 3))
         stepped = linear_aa._fw_rows(b, x, target, 1)
         for row, b_row, t_row in zip(stepped, b, target):
-            oracle = fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
+            oracle = pairwise_fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
 

@@ -66,6 +66,7 @@ class TestSweep:
         curve = model_selection.sweep(ds, [2, 3], fit="deep", cfg=cfg)
         assert all(l is not None and l >= 0 for l in curve.losses)
         assert cfg == given
+        assert curve.stops == {}
 
     def test_failed_fit_recorded_as_missing(self):
         # k larger than the training rows makes that fit raise
@@ -75,6 +76,16 @@ class TestSweep:
         assert curve.losses[0] is not None
         assert list(curve.failures) == [50]
         assert curve.failures[50].startswith("DimensionError: k=50 exceeds")
+        assert list(curve.stops) == [1, 2]
+
+    def test_stops_record_iterations_and_convergence(self):
+        ds = convex_dataset(n=120)
+        capped = model_selection.sweep(ds, [2, 3], fit="linear",
+                                       cfg={"max_outer_iters": 1, "rel_tol": 1e-12})
+        assert capped.stops == {2: {"iterations": 1, "converged": False},
+                                3: {"iterations": 1, "converged": False}}
+        free = model_selection.sweep(ds, [2, 3], fit="linear")
+        assert all(s["converged"] and s["iterations"] > 1 for s in free.stops.values())
 
     def test_non_archlab_errors_propagate(self, monkeypatch):
         def broken(*args):
@@ -87,6 +98,7 @@ class TestSweep:
         ("linear", {"max_iters": 50}),
         ("deep", {"archs": {}}),
         ("deep", {"hyper": {"epoch": 1}}),
+        ("deep", {"arch": {"input_dim": 4}}),
     ])
     def test_unknown_config_key_rejected_before_fitting(self, monkeypatch,
                                                         fit, cfg):
@@ -104,14 +116,6 @@ class TestSweep:
             model_selection.sweep(ds, [3, 2], fit="linear")
         with pytest.raises(ParameterError):
             model_selection.sweep(ds, [2, 3], fit="nope")
-
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        ds = convex_dataset(n=120)
-        serial = model_selection.sweep(ds, [1, 2, 3], fit="linear")
-        monkeypatch.setenv("ARCHLAB_THREADS", "3")
-        parallel = model_selection.sweep(ds, [1, 2, 3], fit="linear")
-        assert serial.losses == parallel.losses
-        assert serial.chosen_k == parallel.chosen_k
 
 
 class TestDetectElbow:
