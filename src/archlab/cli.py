@@ -70,11 +70,15 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} {path} must hold a JSON object, "
+                             f"got {type(value).__name__}")
+    return value
 
 
 def _ensure_dir(path: str) -> Path:
@@ -301,11 +305,11 @@ _PLOT_KINDS = ("scatter", "line")
 
 
 def cmd_plot(args) -> int:
-    m, header = datasets.read_matrix_csv(getattr(args, "in"))
     if args.kind not in _PLOT_KINDS:
         raise ParameterError(
             f"unknown CSV kind '{args.kind}' (choose from {sorted(_PLOT_KINDS)})"
         )
+    m, header = datasets.read_matrix_csv(getattr(args, "in"))
     if m.shape[1] < 2:
         raise ParameterError("plot needs at least two numeric columns")
     chart = SvgChart(title=Path(getattr(args, "in")).name,

@@ -7,7 +7,10 @@ them, in the image space of its dictionary, so no n x n matrix is formed.
 With B (hence the archetypes Z = B X) fixed, every row of A is an
 independent problem over the dictionary Z. With A fixed, the rows of B are
 updated one after another (Gauss-Seidel), each over the dictionary X.
-Every iterate stays feasible and the RSS is non-increasing by construction.
+Each outer iteration then extrapolates (A, B) along its last step and keeps
+that point only if its RSS is lower (Ang & Gillis 2019); the factor beta
+grows from 1 by half per kept point, up to 4, and falls back to 1 when one
+is not kept. Every iterate stays feasible and the RSS is non-increasing.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import DimensionError, NumericalError, ParameterError, check_fields
 from .numerics import as_matrix, check_finite, rng_create
 
 _INNER_FW_STEPS = 10
+_BETA_START, _BETA_GROWTH, _BETA_MAX = 1.0, 1.5, 4.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,12 @@ def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     return w
 
 
+def _extrapolate(new: np.ndarray, old: np.ndarray, beta: float) -> np.ndarray:
+    """Rows of max(new + beta (new - old), 0), each rescaled to sum 1."""
+    w = np.maximum(new + beta * (new - old), 0.0)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Greedy furthest-sum selection of k well-spread row indices.
 
@@ -119,7 +129,9 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     rss_prev = float(np.sum((x - a @ z) ** 2))
     history = [rss_prev]
     converged = False
+    beta = _BETA_START
     for _ in range(cfg.max_outer_iters):
+        a_old, b_old = a, b.copy()  # the B-step writes rows of b in place
         a = _fw_rows(a, z, x, _INNER_FW_STEPS)
         for j in range(cfg.k):
             weight = float(a[:, j] @ a[:, j])
@@ -130,6 +142,14 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
             z[j] = b[j] @ x
         z = b @ x
         rss_now = float(np.sum((x - a @ z) ** 2))
+        a_ex, b_ex = _extrapolate(a, a_old, beta), _extrapolate(b, b_old, beta)
+        z_ex = b_ex @ x
+        rss_ex = float(np.sum((x - a_ex @ z_ex) ** 2))
+        if rss_ex < rss_now:
+            a, b, z, rss_now = a_ex, b_ex, z_ex, rss_ex
+            beta = min(_BETA_GROWTH * beta, _BETA_MAX)
+        else:
+            beta = _BETA_START
         if not np.isfinite(rss_now):
             raise NumericalError("RSS became non-finite during fitting")
         history.append(rss_now)

@@ -305,6 +305,10 @@ class TestPlot:
         assert run("plot", "--in", csv, "--kind", "pie",
                    "--out", tmp_path / "c.svg") == cli.EXIT_CONFIG
 
+    def test_unknown_kind_rejected_before_reading_input(self, tmp_path):
+        assert run("plot", "--in", tmp_path / "absent.csv", "--kind", "pie",
+                   "--out", tmp_path / "c.svg") == cli.EXIT_CONFIG
+
     def test_single_column_exits_config(self, tmp_path):
         csv = tmp_path / "one.csv"
         csv.write_text("a\n1\n2\n")
@@ -314,6 +318,18 @@ class TestPlot:
     def test_missing_input_exits_io(self, tmp_path):
         assert run("plot", "--in", tmp_path / "absent.csv", "--out",
                    tmp_path / "x.svg") == cli.EXIT_IO
+
+
+def run_with_config(tmp_path, capsys, command, option, payload):
+    """Run ``command`` with ``payload`` as the JSON file given to ``option``;
+    output captured before the command runs is discarded."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    extra = {"gen-data": [], "sweep": ["--ks", "1,2"], "fit-deep": ["--k", 3]}[command]
+    if extra:
+        extra += ["--data", gen_dataset(tmp_path)]
+    capsys.readouterr()
+    return run(command, option, config, "--out", tmp_path / "o", *extra)
 
 
 @pytest.mark.parametrize("command, option, payload, field", [
@@ -344,13 +360,21 @@ class TestPlot:
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
-    extra = {"gen-data": [], "sweep": ["--ks", "1,2"], "fit-deep": ["--k", 3]}[command]
-    if extra:
-        extra += ["--data", gen_dataset(tmp_path)]
-    capsys.readouterr()
-    code = run(command, option, config, "--out", tmp_path / "o", *extra)
+    code = run_with_config(tmp_path, capsys, command, option, payload)
     assert code == cli.EXIT_CONFIG
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("gen-data", "--spec"),
+    ("fit-deep", "--arch"),
+    ("fit-deep", "--hyper"),
+    ("sweep", "--config"),
+])
+def test_config_that_is_not_an_object_exits_config(tmp_path, capsys, command, option):
+    code = run_with_config(tmp_path, capsys, command, option, [1])
+    assert code == cli.EXIT_CONFIG
+    assert str(tmp_path / "config.json") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+

@@ -170,6 +170,63 @@ class TestFwRowStep:
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
 
+def simplex_projection(v):
+    """Euclidean projection of the vector ``v`` onto the unit simplex
+    (sort-based), the rule that ``_extrapolate`` does not use."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - excess / np.arange(1, v.size + 1) > 0.0)[0][-1]
+    return np.maximum(v - excess[rho] / (rho + 1), 0.0)
+
+
+class TestExtrapolate:
+    def test_rows_stay_on_simplex(self):
+        rng = rng_create(15)
+        new = numerics.rng_dirichlet_matrix(rng, np.full(6, 0.5), 30)
+        old = numerics.rng_dirichlet_matrix(rng, np.full(6, 0.5), 30)
+        for beta in (0.5, 1.0, 4.0):
+            w = linear_aa._extrapolate(new, old, beta)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(w >= 0.0)
+
+    def test_beta_zero_returns_new(self):
+        rng = rng_create(16)
+        new = numerics.rng_dirichlet_matrix(rng, np.ones(5), 10)
+        old = numerics.rng_dirichlet_matrix(rng, np.ones(5), 10)
+        np.testing.assert_allclose(linear_aa._extrapolate(new, old, 0.0), new,
+                                   rtol=0.0, atol=1e-15)
+
+    def test_weight_zero_in_both_stays_zero(self):
+        # 1 000 atoms with support {0, 1}; rounding leaves the extrapolated
+        # row just under sum 1, where the Euclidean projection would lift
+        # all 998 unused weights off zero and a pairwise step, adding or
+        # dropping one atom at a time, could not clear them again
+        old = np.zeros((1, 1000))
+        new = np.zeros((1, 1000))
+        old[0, :2] = [0.5, 0.5]
+        new[0, :2] = [0.6, 0.4 - 2.0**-40]
+        point = new[0] + (new[0] - old[0])
+        assert 1.0 - 1e-11 < point.sum() < 1.0
+        assert np.count_nonzero(simplex_projection(point)) == 1000
+        w = linear_aa._extrapolate(new, old, 1.0)
+        np.testing.assert_array_equal(w[0, 2:], 0.0)
+        np.testing.assert_allclose(w[0, :2], [0.7, 0.3], atol=1e-11)
+
+    def test_fit_with_accepted_steps_keeps_invariants(self, monkeypatch):
+        extrapolate, betas = linear_aa._extrapolate, []
+
+        def recording(new, old, beta):
+            betas.append(beta)
+            return extrapolate(new, old, beta)
+
+        monkeypatch.setattr(linear_aa, "_extrapolate", recording)
+        x = rng_create(17).standard_normal((200, 4))
+        model = linear_aa.fit_linear_aa(x, linear_aa.LinearAaConfig(k=4))
+        assert max(betas) > 1.0  # beta grows only after an accepted point
+        assert np.all(np.diff(model.rss_history) <= 1e-9)
+        np.testing.assert_array_equal(model.z, model.b @ x)
+
+
 class TestFurthestSum:
     def test_selects_spread_points(self):
         # three tight clusters; one index from each must be chosen
