@@ -1,6 +1,6 @@
 """archlab: linear and deep archetypal analysis with synthetic benchmarks."""
 
-from . import autodiff, datasets, deep_aa, linear_aa, model_selection, nn, numerics, prob_aa
+from . import autodiff, datasets, deep_aa, linear_aa, model_selection, nn, numerics
 from .errors import ArchlabError
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "model_selection",
     "nn",
     "numerics",
-    "prob_aa",
 ]
 
 __version__ = "0.1.0"

@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import prob_aa
 from .errors import (
     IoError,
     MissingGroundTruth,
@@ -30,7 +30,7 @@ from .errors import (
     check_fields,
     check_keys,
 )
-from .numerics import rng_create, simplex_vertices
+from .numerics import rng_create, rng_dirichlet_matrix, simplex_vertices
 
 SCHEMA_VERSION = 1
 
@@ -55,14 +55,26 @@ class SyntheticSpec:
     def __post_init__(self):
         check_fields(self, int, "n", "p", "k", "embed_seed", "sample_seed", "warp_dim")
         check_fields(self, float, "sigma2")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        if self.k < 1 or self.p < 1:
+            raise ParameterError(f"k and p must be >= 1, got k={self.k}, p={self.p}")
         if self.k - 1 > self.p:
             raise ParameterError(
                 f"intrinsic dimension k-1={self.k - 1} exceeds ambient p={self.p}"
             )
         if self.n < 0:
             raise ParameterError("n must be >= 0")
+        if not self.sigma2 >= 0:  # NaN too
+            raise ParameterError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if self.alpha is not None:
+            try:
+                alpha = np.asarray(self.alpha, float)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"field 'alpha' must be a list of numbers: {exc}") from exc
+            if alpha.shape != (self.k,) or not np.all(alpha > 0):
+                raise ParameterError(
+                    f"alpha must be a k-vector of positive concentrations, got {self.alpha!r}")
+            object.__setattr__(self, "alpha", alpha)
         if self.warp not in ("none", "exp"):
             raise ParameterError(f"unknown warp '{self.warp}'")
         if self.warp == "exp" and not (0 <= self.warp_dim < self.p):
@@ -78,7 +90,7 @@ class SyntheticSpec:
                      if self.warp == "exp" else "none"),
         }
         if self.alpha is not None:
-            d["alpha"] = list(np.asarray(self.alpha, float))
+            d["alpha"] = self.alpha.tolist()
         return d
 
     @staticmethod
@@ -101,16 +113,10 @@ class SyntheticSpec:
         for name in ("n", "p", "k"):
             if name not in d:
                 raise ParameterError(f"spec is missing field '{name}'")
-        alpha = d.get("alpha")
-        if alpha is not None:
-            try:
-                alpha = np.asarray(alpha, float)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"field 'alpha' must be a list of numbers: {exc}") from exc
         return SyntheticSpec(
             n=d["n"], p=d["p"], k=d["k"], sigma2=d.get("sigma2", 0.05),
             embed_seed=d.get("embed_seed", 0), sample_seed=d.get("sample_seed", 1),
-            warp=kind, warp_dim=dim, alpha=alpha,
+            warp=kind, warp_dim=dim, alpha=d.get("alpha"),
         )
 
 
@@ -180,13 +186,20 @@ def apply_warp(spec: SyntheticSpec, x: np.ndarray) -> np.ndarray:
 def make_synthetic(spec: SyntheticSpec) -> Dataset:
     """Sample the benchmark dataset described by ``spec``.
 
-    Ground-truth archetypes are retained, expressed in the same (possibly
-    warped) space as the data.
+    Each row is a convex mixture of the archetypes of :func:`make_archetypes`
+    with Dirichlet(alpha) weights (alpha_j = 1/k unless the spec gives
+    alpha), plus isotropic Gaussian noise of variance sigma2, then warped.
+    The weights and then the noise are drawn from ``sample_seed``.
+    Ground-truth weights and archetypes are retained, the archetypes
+    expressed in the same (possibly warped) space as the data.
     """
     z_true = make_archetypes(spec)
-    cfg = prob_aa.ProbAaConfig(k=spec.k, z_true=z_true, sigma2=spec.sigma2,
-                               alpha=spec.alpha)
-    x, a_true = prob_aa.sample(cfg, spec.n, spec.sample_seed)
+    alpha = np.full(spec.k, 1.0 / spec.k) if spec.alpha is None else spec.alpha
+    rng = rng_create(spec.sample_seed)
+    a_true = rng_dirichlet_matrix(rng, alpha, spec.n)
+    x = a_true @ z_true
+    if spec.sigma2 > 0:
+        x = x + math.sqrt(spec.sigma2) * rng.standard_normal(x.shape)
     return Dataset(
         x=apply_warp(spec, x),
         a_true=a_true,
@@ -354,22 +367,30 @@ def read_model(path: str):
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(
+            f"{path}: a model must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
     kind = payload.get("kind")
-    if kind == "linear_aa":
-        return linear_aa.LinearAaModel(
-            a=np.array(payload["a"], float),
-            b=np.array(payload["b"], float),
-            z=np.array(payload["z"], float),
-            rss=float(payload["rss"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            rss_history=list(payload.get("rss_history", [])),
-        )
-    if kind == "deep_aa":
-        return deep_aa.DeepAaModel.from_dict(payload)
+    try:
+        if kind == "linear_aa":
+            return linear_aa.LinearAaModel(
+                a=np.array(payload["a"], float),
+                b=np.array(payload["b"], float),
+                z=np.array(payload["z"], float),
+                rss=float(payload["rss"]),
+                iterations=int(payload["iterations"]),
+                converged=bool(payload["converged"]),
+                rss_history=list(payload.get("rss_history", [])),
+            )
+        if kind == "deep_aa":
+            return deep_aa.DeepAaModel.from_dict(payload)
+    except KeyError as exc:
+        raise ParseError(f"{path}: {kind} model is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed {kind} model: {exc}") from exc
     raise ParseError(f"{path}: unknown model kind {kind!r}")

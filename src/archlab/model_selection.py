@@ -49,11 +49,10 @@ def _deep_test_mse(dataset, k, cfg_overrides, seed):
     from .datasets import Dataset
 
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    arch_kw = dict(cfg_overrides.get("arch", {}))
-    arch_kw.pop("k", None)
-    hyper_kw = {**cfg_overrides.get("hyper", {}), "seed": _seed_for(seed, k)}
-    arch = deep_aa.DeepAaArch(input_dim=dataset.x.shape[1], k=k, **arch_kw)
-    hyper = deep_aa.DeepAaHyper(**hyper_kw)
+    arch = deep_aa.DeepAaArch(input_dim=dataset.x.shape[1], k=k,
+                              **cfg_overrides.get("arch", {}))
+    hyper = deep_aa.DeepAaHyper(**cfg_overrides.get("hyper", {}),
+                                seed=_seed_for(seed, k))
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
     labels = None if dataset.labels is None else dataset.labels[train_idx]
     deep_aa.train(model, Dataset(x=dataset.x[train_idx], labels=labels),
@@ -89,11 +88,13 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     elif fit == "deep":
         worker = _deep_test_mse
         check_keys(cfg, ("arch", "hyper"), "sweep config")
-        arch = cfg.get("arch", {})
-        check_keys(arch, {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim"},
+        arch, hyper = cfg.get("arch", {}), cfg.get("hyper", {})
+        check_keys(arch, {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim", "k"},
                    "sweep config 'arch'")
-        deep_aa.DeepAaArch(**{**arch, "input_dim": 1, "k": 2})
-        deep_aa.DeepAaHyper.from_dict(cfg.get("hyper", {}))
+        check_keys(hyper, {f.name for f in fields(deep_aa.DeepAaHyper)} - {"seed"},
+                   "sweep config 'hyper'")
+        deep_aa.DeepAaArch(**arch, input_dim=1, k=2)
+        deep_aa.DeepAaHyper(**hyper)
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
 

@@ -83,6 +83,13 @@ class TestGenData:
         code = run("gen-data", "--spec", bad, "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
 
+    def test_zero_width_exits_config(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, n=5, p=0, k=1)
+        code = run("gen-data", "--spec", spec, "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "p=0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFitLinear:
     def test_outputs_and_model_roundtrip(self, tmp_path):
@@ -263,6 +270,20 @@ class TestInterpolateAndSample:
         code = run("interpolate", "--model", fit / "model.json",
                    "--from", "1,0", "--to", "0,1", "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"schema_version": 1, "kind": "linear_aa"},
+        {"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 3, "k": 3},
+         "trunk": [1]},
+    ], ids=["not-an-object", "missing-key", "bad-layer-state"])
+    def test_malformed_model_exits_config(self, tmp_path, capsys, payload):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload))
+        code = run("interpolate", "--model", model, "--from", "1,0,0",
+                   "--to", "0,0,1", "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert str(model) in capsys.readouterr().err
 
     def test_sample_deterministic_with_noise(self, tmp_path, deep_model_path):
         rows = []

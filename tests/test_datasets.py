@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,22 @@ class TestSyntheticSpec:
             SyntheticSpec(n=10, p=2, k=2, warp="log")
         with pytest.raises(ParameterError):
             SyntheticSpec(n=10, p=2, k=2, warp="exp", warp_dim=2)
+
+    @pytest.mark.parametrize("fields", [
+        {"sigma2": -0.1},
+        {"alpha": [1.0, 1.0]},  # not a k-vector
+        {"alpha": [1.0, 0.0, 1.0]},  # not positive
+        {"alpha": [1.0, "one", 1.0]},
+        {"p": 0, "k": 1},
+    ], ids=["negative-sigma2", "alpha-length", "alpha-zero", "alpha-not-numbers", "p-zero"])
+    def test_rejects_bad_generator_input(self, fields):
+        with pytest.raises(ParameterError):
+            SyntheticSpec(**{"n": 10, "p": 2, "k": 3, **fields})
+
+    def test_alpha_stored_as_float_array(self):
+        spec = SyntheticSpec(n=1, p=2, k=3, alpha=[1, 2, 3])
+        assert spec.alpha.dtype == np.float64
+        np.testing.assert_array_equal(spec.alpha, [1.0, 2.0, 3.0])
 
     def test_dict_round_trip(self):
         spec = SyntheticSpec(n=5, p=4, k=3, sigma2=0.1, embed_seed=7,
@@ -72,7 +92,53 @@ class TestMakeSynthetic:
     def test_n_zero_gives_empty_dataset(self):
         ds = datasets.make_synthetic(SyntheticSpec(n=0, p=4, k=3))
         assert ds.x.shape == (0, 4)
+        assert ds.a_true.shape == (0, 3)
         assert ds.z_true.shape == (3, 4)
+
+    def test_weights_on_simplex(self):
+        ds = datasets.make_synthetic(SyntheticSpec(n=500, p=2, k=3))
+        np.testing.assert_allclose(ds.a_true.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(ds.a_true >= 0)
+
+    def test_noiseless_rows_are_mixtures(self):
+        ds = datasets.make_synthetic(SyntheticSpec(n=200, p=2, k=3, sigma2=0.0))
+        np.testing.assert_array_equal(ds.x, ds.a_true @ ds.z_true)
+
+    def test_noise_variance_matches_sigma2(self):
+        ds = datasets.make_synthetic(
+            SyntheticSpec(n=100_000, p=2, k=3, sigma2=0.05, sample_seed=5))
+        assert np.var(ds.x - ds.a_true @ ds.z_true) == pytest.approx(0.05, rel=2e-2)
+
+    def test_mean_weight_is_one_over_k(self):
+        a = datasets.make_synthetic(
+            SyntheticSpec(n=100_000, p=2, k=3, sample_seed=6)).a_true
+        np.testing.assert_allclose(a.mean(axis=0), 1.0 / 3.0, atol=5e-3)
+
+    def test_default_alpha_concentrates_on_vertices(self):
+        # alpha_j = 1/k puts most mass near the simplex corners
+        a = datasets.make_synthetic(
+            SyntheticSpec(n=10_000, p=2, k=3, sample_seed=7)).a_true
+        assert np.mean(a.max(axis=1) > 0.9) > 0.25
+
+    def test_default_alpha_is_one_over_k(self):
+        spec = SyntheticSpec(n=300, p=4, k=3, embed_seed=2, sample_seed=3)
+        default = datasets.make_synthetic(spec)
+        explicit = datasets.make_synthetic(replace(spec, alpha=[1 / 3] * 3))
+        np.testing.assert_array_equal(default.x, explicit.x)
+        np.testing.assert_array_equal(default.a_true, explicit.a_true)
+
+    def test_draw_order(self):
+        # weights first, then noise, both from sample_seed; the warp last
+        alpha = [0.5, 1.0, 2.0]
+        spec = SyntheticSpec(n=300, p=4, k=3, sigma2=0.05, embed_seed=2,
+                             sample_seed=9, alpha=alpha, warp="exp", warp_dim=1)
+        rng = numerics.rng_create(9)
+        a = numerics.rng_dirichlet_matrix(rng, alpha, 300)
+        x = a @ datasets.make_archetypes(spec)
+        x = x + math.sqrt(0.05) * rng.standard_normal((300, 4))
+        ds = datasets.make_synthetic(spec)
+        np.testing.assert_array_equal(ds.a_true, a)
+        np.testing.assert_array_equal(ds.x, datasets.apply_warp(spec, x))
 
     def test_warp_makes_column_positive_and_log_inverts(self):
         spec = SyntheticSpec(n=200, p=4, k=3, embed_seed=1, sample_seed=2,
@@ -246,6 +312,20 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         path.write_text('{"schema_version": 1, "kind": "mystery"}')
         with pytest.raises(ParseError):
+            datasets.read_model(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        '{"schema_version": 1, "kind": "linear_aa"}',
+        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[1]],'
+        ' "z": [[1]], "rss": "low", "iterations": 1, "converged": true}',
+        '{"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 2, "k": 2},'
+        ' "trunk": 5}',
+    ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state"])
+    def test_malformed_model_names_file(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             datasets.read_model(str(path))
 
     def test_invalid_json(self, tmp_path):

@@ -352,6 +352,25 @@ class TestTransform:
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(a >= -1e-12)
 
+    def test_frank_wolfe_path_above_enumeration_limit(self):
+        # k = 13 > 12 archetypes skips support enumeration
+        k = linear_aa._ENUM_MAX_K + 1
+        rng = rng_create(13)
+        z = rng.standard_normal((k, k + 1))
+        x = rng.standard_normal((200, k + 1))
+        a = linear_aa.transform(x, z)
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(a >= 0.0)
+        # KKT with the tolerance rule of bench/checks.simplex_kkt: on its
+        # support a row's gradient is at the row's minimum
+        g = 2.0 * (a @ z - x) @ z.T
+        scale = 1e-7 * (1.0 + np.abs(g).max(axis=1, keepdims=True)) \
+            * (1.0 + np.abs(z).max() ** 2)
+        gap = np.where(a > 1e-8, g - g.min(axis=1, keepdims=True), 0.0)
+        assert np.max(gap / scale) <= 1.0
+        w = numerics.rng_dirichlet_matrix(rng, np.full(k, 2.0), 50)
+        np.testing.assert_allclose(linear_aa.transform(w @ z, z) @ z, w @ z, atol=1e-5)
+
 
 class TestProperties:
     @given(st.integers(0, 10_000))

@@ -99,6 +99,9 @@ class TestSweep:
         ("deep", {"archs": {}}),
         ("deep", {"hyper": {"epoch": 1}}),
         ("deep", {"arch": {"input_dim": 4}}),
+        # k and the seeds come from the sweep
+        ("deep", {"arch": {"k": 7}}),
+        ("deep", {"hyper": {"seed": 99, "epochs": 1}}),
     ])
     def test_unknown_config_key_rejected_before_fitting(self, monkeypatch,
                                                         fit, cfg):
