@@ -89,11 +89,24 @@ class TestMakeSynthetic:
         np.testing.assert_array_equal(d1.x, d2.x)
         np.testing.assert_array_equal(d1.a_true, d2.a_true)
 
+    def test_weights_depend_only_on_sample_seed(self):
+        def weights(embed_seed, sample_seed):
+            spec = SyntheticSpec(n=100, p=2, k=3, embed_seed=embed_seed,
+                                 sample_seed=sample_seed)
+            return datasets.make_synthetic(spec).a_true
+
+        np.testing.assert_array_equal(weights(0, 3), weights(5, 3))
+        assert not np.array_equal(weights(0, 3), weights(0, 4))
+
     def test_n_zero_gives_empty_dataset(self):
         ds = datasets.make_synthetic(SyntheticSpec(n=0, p=4, k=3))
         assert ds.x.shape == (0, 4)
-        assert ds.a_true.shape == (0, 3)
         assert ds.z_true.shape == (3, 4)
+
+    def test_n_zero_draws_no_weights(self):
+        ds = datasets.make_synthetic(SyntheticSpec(n=0, p=2, k=3, sigma2=0.05))
+        assert ds.x.shape == (0, 2)
+        assert ds.a_true.shape == (0, 3)
 
     def test_weights_on_simplex(self):
         ds = datasets.make_synthetic(SyntheticSpec(n=500, p=2, k=3))
