@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import subprocess
 import sys
 import time
@@ -23,7 +22,6 @@ from .errors import (
     MissingGroundTruth,
     NumericalError,
     ParameterError,
-    ParseError,
     check_keys,
     check_value,
 )
@@ -61,24 +59,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
         "git_describe": _git_describe(),
         "duration_seconds": time.monotonic() - started,
     }
-    datasets.atomic_write_text(
-        str(out_dir / "manifest.json"),
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-    )
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            value = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(value, dict):
-        raise ParameterError(f"{what} {path} must hold a JSON object, "
-                             f"got {type(value).__name__}")
-    return value
+    datasets.write_json(manifest, str(out_dir / "manifest.json"))
 
 
 def _ensure_dir(path: str) -> Path:
@@ -120,7 +101,7 @@ def _side_info_args(side_info) -> dict:
 
 def cmd_gen_data(args) -> int:
     started = time.monotonic()
-    spec_dict = _load_json(args.spec, "spec")
+    spec_dict = datasets.read_json(args.spec, "spec")
     side_info = spec_dict.pop("side_info", None)
     side_args = None if side_info is None else _side_info_args(side_info)
     spec = datasets.SyntheticSpec.from_dict(spec_dict)
@@ -185,8 +166,8 @@ def cmd_fit_linear(args) -> int:
 def cmd_fit_deep(args) -> int:
     started = time.monotonic()
     ds = _read_dataset_dir_or_file(args.data)
-    arch_dict = _load_json(args.arch, "arch config") if args.arch else {}
-    hyper_dict = _load_json(args.hyper, "hyper config") if args.hyper else {}
+    arch_dict = datasets.read_json(args.arch, "arch config") if args.arch else {}
+    hyper_dict = datasets.read_json(args.hyper, "hyper config") if args.hyper else {}
     if args.k is not None:
         arch_dict["k"] = args.k
     if args.seed is not None:
@@ -200,8 +181,6 @@ def cmd_fit_deep(args) -> int:
         if ds.labels is None:
             raise MissingGroundTruth(
                 "--side-info requires a dataset with a label column")
-    arch_dict.setdefault("encoder_hidden", [64, 64])
-    arch_dict.setdefault("decoder_hidden", [64, 64])
     arch = deep_aa.DeepAaArch.from_dict(arch_dict)
     hyper = deep_aa.DeepAaHyper.from_dict(hyper_dict)
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
@@ -226,10 +205,7 @@ def cmd_fit_deep(args) -> int:
               "side_info": bool(args.side_info)}
     if ds.z_true is not None and ds.z_true.shape[0] == arch.k:
         report = deep_aa.vertex_recovery_report(model, ds)
-        datasets.atomic_write_text(
-            str(out / "vertex_recovery.json"),
-            json.dumps(report, indent=1, sort_keys=True) + "\n",
-        )
+        datasets.write_json(report, str(out / "vertex_recovery.json"))
         outputs.append(out / "vertex_recovery.json")
     _write_manifest(out, "fit-deep", config, {"seed": hyper.seed},
                     [args.data], outputs, started)
@@ -243,7 +219,7 @@ def cmd_sweep(args) -> int:
         ks = sorted({int(v) for v in args.ks.split(",")})
     except ValueError as exc:
         raise ParameterError(f"cannot parse --ks '{args.ks}': {exc}") from exc
-    cfg = _load_json(args.config, "sweep config") if args.config else None
+    cfg = datasets.read_json(args.config, "sweep config") if args.config else None
     curve = model_selection.sweep(ds, ks, fit=args.fit, cfg=cfg, seed=args.seed)
     out = _ensure_dir(args.out)
     rows = np.array([[float(k), l] for k, l in model_selection.curve_rows(curve)])

@@ -7,7 +7,11 @@ lives next to the data file ``<stem>.csv`` in the sidecar files
 ``<stem>.ztrue.csv`` (archetypes Z, the data's header), so ``archlab
 gen-data`` writes ``X.csv``, ``X.atrue.csv`` and ``X.ztrue.csv``. Numbers
 are serialized with 17 significant digits so round-trips are bit-exact.
-Models are serialized as versioned JSON.
+
+Every JSON file is read by :func:`read_json` and written by
+:func:`write_json`. Each model class owns its JSON form (``to_dict`` and
+``from_dict``); :func:`write_model` and :func:`read_model` frame it with the
+schema version and the model kind.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import deep_aa, linear_aa
 from .errors import (
     IoError,
     MissingGroundTruth,
     ParameterError,
     ParseError,
     SchemaVersionError,
+    ShapeError,
     check_fields,
     check_keys,
 )
@@ -50,7 +56,7 @@ class SyntheticSpec:
     sample_seed: int = 1
     warp: str = "none"  # "none" or "exp"
     warp_dim: int = 0
-    alpha: np.ndarray | None = None
+    alpha: tuple | None = None
 
     def __post_init__(self):
         check_fields(self, int, "n", "p", "k", "embed_seed", "sample_seed", "warp_dim")
@@ -74,7 +80,7 @@ class SyntheticSpec:
             if alpha.shape != (self.k,) or not np.all(alpha > 0):
                 raise ParameterError(
                     f"alpha must be a k-vector of positive concentrations, got {self.alpha!r}")
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", tuple(alpha.tolist()))
         if self.warp not in ("none", "exp"):
             raise ParameterError(f"unknown warp '{self.warp}'")
         if self.warp == "exp" and not (0 <= self.warp_dim < self.p):
@@ -90,7 +96,7 @@ class SyntheticSpec:
                      if self.warp == "exp" else "none"),
         }
         if self.alpha is not None:
-            d["alpha"] = self.alpha.tolist()
+            d["alpha"] = list(self.alpha)
         return d
 
     @staticmethod
@@ -324,73 +330,52 @@ def read_csv(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Model serialization
+# JSON files and model serialization
 
-def _array_out(a: np.ndarray) -> list:
-    return np.asarray(a, float).tolist()
+def read_json(path: str, what: str) -> dict:
+    """The JSON object held in ``path``; ``what`` names the file in errors."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} {path} must hold a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def write_json(value, path: str) -> None:
+    atomic_write_text(path, json.dumps(value, indent=1, sort_keys=True) + "\n")
+
+
+_MODEL_KINDS = {"linear_aa": linear_aa.LinearAaModel, "deep_aa": deep_aa.DeepAaModel}
 
 
 def write_model(model, path: str) -> None:
     """Serialize a fitted model (linear or deep) as versioned JSON."""
-    from . import deep_aa, linear_aa  # local import to avoid a cycle
-
-    if isinstance(model, linear_aa.LinearAaModel):
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "linear_aa",
-            "a": _array_out(model.a),
-            "b": _array_out(model.b),
-            "z": _array_out(model.z),
-            "rss": model.rss,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "rss_history": list(map(float, model.rss_history)),
-        }
-    elif isinstance(model, deep_aa.DeepAaModel):
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "deep_aa",
-            **model.to_dict(),
-        }
-    else:
-        raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    for kind, cls in _MODEL_KINDS.items():
+        if isinstance(model, cls):
+            return write_json({"schema_version": SCHEMA_VERSION, "kind": kind,
+                               **model.to_dict()}, path)
+    raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def read_model(path: str):
-    from . import deep_aa, linear_aa
-
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(
-            f"{path}: a model must be a JSON object, got {type(payload).__name__}")
+    payload = read_json(path, "model")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
     kind = payload.get("kind")
+    if kind not in _MODEL_KINDS:
+        raise ParseError(f"{path}: unknown model kind {kind!r}")
     try:
-        if kind == "linear_aa":
-            return linear_aa.LinearAaModel(
-                a=np.array(payload["a"], float),
-                b=np.array(payload["b"], float),
-                z=np.array(payload["z"], float),
-                rss=float(payload["rss"]),
-                iterations=int(payload["iterations"]),
-                converged=bool(payload["converged"]),
-                rss_history=list(payload.get("rss_history", [])),
-            )
-        if kind == "deep_aa":
-            return deep_aa.DeepAaModel.from_dict(payload)
+        return _MODEL_KINDS[kind].from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path}: {kind} model is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ShapeError) as exc:
         raise ParseError(f"{path}: malformed {kind} model: {exc}") from exc
-    raise ParseError(f"{path}: unknown model kind {kind!r}")

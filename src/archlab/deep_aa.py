@@ -43,6 +43,9 @@ NOISE_VAR_MIN = 1e-6
 
 HISTORY_COLUMNS = ["step", "total", "recon", "kl", "at", "side", "lambda"]
 
+# a model's networks (side_head may be None), in the order of its parameters()
+_NETWORKS = ("trunk", "a_head", "b_head", "logvar_head", "decoder", "side_head")
+
 
 @dataclass(frozen=True)
 class DeepAaArch:
@@ -107,8 +110,8 @@ class DeepAaHyper:
         check_fields(self, float, "lambda0", "lambda_growth", "at_weight",
                      "side_weight", "lr")
         check_fields(self, int, "lambda_every", "batch", "epochs", "seed")
-        if self.lambda0 <= 0:
-            raise ParameterError("lambda0 must be > 0")
+        if not (self.lambda0 > 0 and self.lr > 0):  # NaN too
+            raise ParameterError(f"lambda0 and lr must be > 0, got {self.lambda0} and {self.lr}")
         if self.batch < 1 or self.epochs < 0:
             raise ParameterError("batch must be >= 1 and epochs >= 0")
         if self.lambda_every < 1:
@@ -161,12 +164,8 @@ class DeepAaModel:
         return self.side_head is not None
 
     def parameters(self):
-        params = (self.trunk.parameters() + self.a_head.parameters()
-                  + self.b_head.parameters() + self.logvar_head.parameters()
-                  + self.decoder.parameters())
-        if self.side_head is not None:
-            params += self.side_head.parameters()
-        return params
+        nets = (getattr(self, name) for name in _NETWORKS)
+        return [p for net in nets if net is not None for p in net.parameters()]
 
     # -- graph builders ----------------------------------------------------
 
@@ -239,18 +238,8 @@ class DeepAaModel:
             y_hat = self.side_head.forward(ad.constant(t)).value[:, 0]
         return x_hat, y_hat
 
-    def loss(self, x_batch, y_batch=None, lam: float = 1.0, rng=None):
-        """Objective value on one batch; returns (total, parts dict)."""
-        x_batch = _check_batch(x_batch, self.arch.input_dim)
-        rng = rng if rng is not None else rng_create(0)
-        noise = rng.standard_normal((x_batch.shape[0], self.arch.latent_dim))
-        total, parts = self._loss_nodes(x_batch, y_batch, lam, noise)
-        if not np.isfinite(total.value):
-            raise NumericalError("loss is non-finite")
-        return float(total.value), {k: float(v.value) for k, v in parts.items()}
-
     def to_dict(self) -> dict:
-        d = {
+        return {
             "arch": self.arch.to_dict(),
             "trunk": self.trunk.state(),
             "a_head": self.a_head.state(),
@@ -265,28 +254,44 @@ class DeepAaModel:
             "history": self.history,
             "trained": self.trained,
         }
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "DeepAaModel":
+        """Load a model saved by :meth:`to_dict` into the networks its arch
+        builds. Raises ShapeError when the saved layers do not fit them."""
         model = DeepAaModel(DeepAaArch.from_dict(d["arch"]))
-        model.trunk = Mlp.from_state(d["trunk"])
-        model.a_head = Mlp.from_state(d["a_head"])
-        model.b_head = Mlp.from_state(d["b_head"])
-        model.logvar_head = Mlp.from_state(d["logvar_head"])
-        model.decoder = Mlp.from_state(d["decoder"])
-        model.side_head = (None if d.get("side_head") is None
-                           else Mlp.from_state(d["side_head"]))
-        model.median_logvar = np.array(d.get("median_logvar",
-                                             [0.0] * model.arch.latent_dim))
-        # models saved without these keys were trained with unit noise and
-        # unit loss weights
-        model.noise_var = np.array(d.get("noise_var", [1.0] * model.arch.input_dim))
+        for name in _NETWORKS:
+            net, state = getattr(model, name), d.get(name)
+            if (net is None) != (state is None):
+                raise ShapeError(f"'{name}' is in the {'arch' if state is None else 'file'} only")
+            if net is None:
+                continue
+            if (state["activation"], state["output_activation"]) != (
+                    net.activation, net.output_activation):
+                raise ShapeError(f"'{name}' activations differ from the arch's")
+            weights, biases = state["weights"], state["biases"]
+            if (len(weights), len(biases)) != (len(net.weights), len(net.biases)):
+                raise ShapeError(f"'{name}' has {len(weights)} weight and {len(biases)} bias "
+                                 f"arrays, the arch builds {len(net.weights)} of each")
+            for node, value in zip(net.parameters(), weights + biases):
+                node.value[...] = _saved_array(value, node.value.shape, f"a '{name}' array")
+        # models saved without noise_var or the loss weights were trained with
+        # unit noise and unit loss weights, which a new DeepAaModel starts with
+        for name in ("median_logvar", "noise_var"):
+            built = getattr(model, name)
+            setattr(model, name, _saved_array(d.get(name, built), built.shape, name))
         model.at_weight = float(d.get("at_weight", 1.0))
         model.side_weight = float(d.get("side_weight", 1.0))
         model.history = list(d.get("history", []))
         model.trained = bool(d.get("trained", False))
         return model
+
+
+def _saved_array(value, shape: tuple, name: str) -> np.ndarray:
+    value = np.array(value, float)
+    if value.shape != shape:
+        raise ShapeError(f"{name} has shape {value.shape}, the arch builds {shape}")
+    return value
 
 
 def _check_batch(x, p: int) -> np.ndarray:
@@ -411,8 +416,8 @@ def _check_weights(a, k: int) -> np.ndarray:
     a = np.asarray(a, float)
     if a.shape != (k,):
         raise ParameterError(f"mixture weights must have length {k}")
-    if np.any(a < -1e-12) or abs(a.sum() - 1.0) > 1e-9:
-        raise ParameterError("mixture weights must be on the unit simplex")
+    if not (np.all(a >= -1e-12) and abs(a.sum() - 1.0) <= 1e-9):  # NaN too
+        raise ParameterError(f"mixture weights must be on the unit simplex, got {a}")
     return np.clip(a, 0.0, None)
 
 

@@ -38,8 +38,10 @@ class LinearAaConfig:
         check_fields(self, float, "rel_tol")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.rel_tol <= 0:
-            raise ParameterError("rel_tol must be > 0")
+        if self.max_outer_iters < 0:
+            raise ParameterError(f"max_outer_iters must be >= 0, got {self.max_outer_iters}")
+        if not self.rel_tol > 0:  # NaN too
+            raise ParameterError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 @dataclass
@@ -51,6 +53,22 @@ class LinearAaModel:
     iterations: int
     converged: bool
     rss_history: list = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "a": self.a.tolist(), "b": self.b.tolist(), "z": self.z.tolist(),
+            "rss": self.rss, "iterations": self.iterations, "converged": self.converged,
+            "rss_history": list(map(float, self.rss_history)),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "LinearAaModel":
+        return LinearAaModel(
+            a=np.array(d["a"], float), b=np.array(d["b"], float),
+            z=np.array(d["z"], float), rss=float(d["rss"]),
+            iterations=int(d["iterations"]), converged=bool(d["converged"]),
+            rss_history=list(d.get("rss_history", [])),
+        )
 
 
 def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import deep_aa, linear_aa
+from .datasets import Dataset
 from .errors import ArchlabError, InsufficientPoints, ParameterError, check_keys
 from .numerics import rng_create
 
@@ -46,8 +47,6 @@ def _linear_test_mse(dataset, k, cfg_overrides, seed):
 
 
 def _deep_test_mse(dataset, k, cfg_overrides, seed):
-    from .datasets import Dataset
-
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
     arch = deep_aa.DeepAaArch(input_dim=dataset.x.shape[1], k=k,
                               **cfg_overrides.get("arch", {}))

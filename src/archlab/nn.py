@@ -60,15 +60,6 @@ class Mlp:
             "biases": [b.value.tolist() for b in self.biases],
         }
 
-    @classmethod
-    def from_state(cls, state) -> "Mlp":
-        mlp = cls(state["sizes"], state["activation"], state["output_activation"])
-        for node, saved in zip(mlp.weights, state["weights"]):
-            node.value[...] = np.array(saved, float)
-        for node, saved in zip(mlp.biases, state["biases"]):
-            node.value[...] = np.array(saved, float)
-        return mlp
-
 
 class Adam:
     """Standard bias-corrected Adam over a fixed parameter list."""

@@ -7,6 +7,8 @@ import pytest
 
 from archlab import cli, datasets, deep_aa, linear_aa
 
+from test_datasets import MISFIT_DEEP_MODELS, deep_model_payload
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -131,6 +133,13 @@ class TestFitLinear:
         code = run("fit-linear", "--data", data, "--k", 500,
                    "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
+
+    def test_negative_max_iters_exits_config(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        code = run("fit-linear", "--data", data, "--k", 3, "--max-iters", -5,
+                   "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
 
 class TestFitDeep:
@@ -276,7 +285,8 @@ class TestInterpolateAndSample:
         {"schema_version": 1, "kind": "linear_aa"},
         {"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 3, "k": 3},
          "trunk": [1]},
-    ], ids=["not-an-object", "missing-key", "bad-layer-state"])
+        *(deep_model_payload(edit) for edit in MISFIT_DEEP_MODELS.values()),
+    ], ids=["not-an-object", "missing-key", "bad-layer-state", *MISFIT_DEEP_MODELS])
     def test_malformed_model_exits_config(self, tmp_path, capsys, payload):
         model = tmp_path / "m.json"
         model.write_text(json.dumps(payload))
@@ -300,6 +310,13 @@ class TestInterpolateAndSample:
         code = run("sample", "--model", deep_model_path, "--weights", "1,0",
                    "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
+
+    def test_non_finite_weights_exit_config(self, tmp_path, deep_model_path):
+        assert run("sample", "--model", deep_model_path, "--weights", "nan,0.5,0.5",
+                   "--out", tmp_path / "s") == cli.EXIT_CONFIG
+        assert run("interpolate", "--model", deep_model_path, "--from", "nan,0,1",
+                   "--to", "0,0,1", "--out", tmp_path / "i") == cli.EXIT_CONFIG
+        assert not (tmp_path / "s").exists() and not (tmp_path / "i").exists()
 
 
 class TestPlot:
@@ -384,6 +401,16 @@ def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command
     code = run_with_config(tmp_path, capsys, command, option, payload)
     assert code == cli.EXIT_CONFIG
     assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"lr": -1.0}, {"lr": float("nan")}, {"lambda0": float("nan")},
+], ids=["negative-lr", "nan-lr", "nan-lambda0"])
+def test_out_of_range_hyper_exits_config(tmp_path, capsys, payload):
+    code = run_with_config(tmp_path, capsys, "fit-deep", "--hyper", payload)
+    assert code == cli.EXIT_CONFIG
+    assert "must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

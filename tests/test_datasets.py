@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archlab import datasets, linear_aa, numerics
+from archlab import datasets, deep_aa, linear_aa, nn, numerics
 from archlab.datasets import Dataset, SyntheticSpec
 from archlab.errors import (
     MissingGroundTruth,
@@ -39,10 +40,10 @@ class TestSyntheticSpec:
         with pytest.raises(ParameterError):
             SyntheticSpec(**{"n": 10, "p": 2, "k": 3, **fields})
 
-    def test_alpha_stored_as_float_array(self):
-        spec = SyntheticSpec(n=1, p=2, k=3, alpha=[1, 2, 3])
-        assert spec.alpha.dtype == np.float64
-        np.testing.assert_array_equal(spec.alpha, [1.0, 2.0, 3.0])
+    def test_alpha_stored_as_float_tuple(self):
+        spec = SyntheticSpec(n=1, p=2, k=3, alpha=np.array([1, 2, 3]))
+        assert spec.alpha == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in spec.alpha)
 
     def test_dict_round_trip(self):
         spec = SyntheticSpec(n=5, p=4, k=3, sigma2=0.1, embed_seed=7,
@@ -53,7 +54,8 @@ class TestSyntheticSpec:
     def test_dict_round_trip_with_alpha(self):
         spec = SyntheticSpec(n=5, p=4, k=3, alpha=np.array([1.0, 2.0, 3.0]))
         again = SyntheticSpec.from_dict(spec.to_dict())
-        np.testing.assert_array_equal(again.alpha, spec.alpha)
+        assert again == spec
+        assert hash(again) == hash(spec)
 
     def test_from_dict_rejects_unknown_warp(self):
         with pytest.raises(ParameterError):
@@ -285,6 +287,32 @@ class TestCsvRoundTrip:
         assert target.is_dir()
 
 
+def deep_model_payload(edit):
+    """The file form of a small untrained deep model (input_dim 4, k 3, one
+    hidden layer of 8 each side), changed in place by ``edit``."""
+    arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,), decoder_hidden=(8,))
+    payload = {"schema_version": 1, "kind": "deep_aa", **deep_aa.DeepAaModel(arch).to_dict()}
+    edit(payload)
+    return payload
+
+
+# edits after which a deep model file no longer fits the networks its arch
+# builds; each has to fail loading rather than leave random or broadcast weights
+MISFIT_DEEP_MODELS = {
+    "truncated-decoder": lambda d: d["decoder"]["weights"].pop(),
+    "broadcastable-weight": lambda d: d["decoder"]["weights"][0].pop(),  # (2, 8) -> (1, 8)
+    "decoder-too-wide": lambda d: d.update(decoder=nn.Mlp([2, 8, 5]).state()),
+    "side-head-not-in-arch": lambda d: d.update(side_head=nn.Mlp([2, 4, 1]).state()),
+}
+
+
+def assert_rewrite_gives_same_bytes(model, path):
+    again = f"{path}.again"
+    datasets.write_model(model, again)
+    with open(path, "rb") as first, open(again, "rb") as second:
+        assert first.read() == second.read()
+
+
 class TestModelRoundTrip:
     def test_linear_model(self, tmp_path):
         x = numerics.rng_create(0).standard_normal((30, 3))
@@ -297,10 +325,9 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(back.z, model.z)
         assert back.rss == model.rss
         assert back.converged == model.converged
+        assert_rewrite_gives_same_bytes(back, path)
 
     def test_deep_model(self, tmp_path):
-        from archlab import deep_aa
-
         ds = datasets.make_synthetic(SyntheticSpec(n=60, p=4, k=3))
         arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,),
                                   decoder_hidden=(8,))
@@ -314,6 +341,7 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(back.decode(np.zeros((1, 2)))[0],
                                       model.decode(np.zeros((1, 2)))[0])
         assert back.trained
+        assert_rewrite_gives_same_bytes(back, path)
 
     def test_schema_version_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
@@ -334,7 +362,9 @@ class TestModelRoundTrip:
         ' "z": [[1]], "rss": "low", "iterations": 1, "converged": true}',
         '{"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 2, "k": 2},'
         ' "trunk": 5}',
-    ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state"])
+        *(json.dumps(deep_model_payload(edit)) for edit in MISFIT_DEEP_MODELS.values()),
+    ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state",
+            *MISFIT_DEEP_MODELS])
     def test_malformed_model_names_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

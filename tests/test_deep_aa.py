@@ -15,10 +15,17 @@ from archlab.numerics import rng_create, simplex_vertices
 from test_numerics import barycentric_in_hull
 
 
-def tiny_model(k=3, p=4, side=False, seed=0):
+def tiny_model(k=3, p=4, side=False, seed=0, activation="relu"):
     arch = DeepAaArch(input_dim=p, k=k, encoder_hidden=(8,), decoder_hidden=(8,),
-                      side_hidden=(4,) if side else None)
+                      side_hidden=(4,) if side else None, activation=activation)
     return DeepAaModel(arch, seed=seed)
+
+
+def loss_values(model, x, y=None, lam=1.0, seed=0):
+    """(total, parts) of the objective as floats, with a fixed noise draw."""
+    noise = rng_create(seed).standard_normal((x.shape[0], model.arch.latent_dim))
+    total, parts = model._loss_nodes(x, y, lam, noise)
+    return float(total.value), {k: float(v.value) for k, v in parts.items()}
 
 
 class TestArch:
@@ -41,6 +48,12 @@ class TestArch:
     def test_hyper_validation(self):
         with pytest.raises(ParameterError):
             DeepAaHyper(lambda0=0.0)
+        with pytest.raises(ParameterError):
+            DeepAaHyper(lambda0=float("nan"))
+        with pytest.raises(ParameterError):
+            DeepAaHyper(lr=-1.0)
+        with pytest.raises(ParameterError):
+            DeepAaHyper(lr=float("nan"))
         with pytest.raises(ParameterError):
             DeepAaHyper(batch=0)
         with pytest.raises(ParameterError):
@@ -174,7 +187,7 @@ class TestLoss:
     def test_parts_recombine(self):
         model = tiny_model()
         x = rng_create(8).standard_normal((6, 4))
-        total, parts = model.loss(x, lam=2.5)
+        total, parts = loss_values(model, x, lam=2.5)
         assert total == pytest.approx(
             parts["kl"] + 2.5 * parts["recon"] + parts["at"], abs=1e-12
         )
@@ -183,12 +196,12 @@ class TestLoss:
     def test_side_head_requires_labels(self):
         model = tiny_model(side=True)
         with pytest.raises(ParameterError):
-            model.loss(np.zeros((3, 4)))
+            loss_values(model, np.zeros((3, 4)))
 
     def test_side_part_present(self):
         model = tiny_model(side=True)
         x = rng_create(9).standard_normal((5, 4))
-        total, parts = model.loss(x, y_batch=np.ones(5))
+        total, parts = loss_values(model, x, y=np.ones(5))
         assert "side" in parts
         assert total == pytest.approx(
             parts["kl"] + parts["recon"] + parts["at"] + parts["side"], abs=1e-12
@@ -351,6 +364,8 @@ class TestGenerateInterpolate:
             deep_aa.generate(model, np.array([1.2, -0.2, 0.0]))
         with pytest.raises(ParameterError):
             deep_aa.generate(model, np.array([0.5, 0.5]))
+        with pytest.raises(ParameterError):
+            deep_aa.generate(model, np.array([np.nan, 0.5, 0.5]))
 
     def test_generate_one_hot_decodes_vertex(self):
         model = self._trained()
@@ -393,6 +408,13 @@ class TestGenerateInterpolate:
         assert barycentric_in_hull(model.frame,
                                    mixtures @ model.frame.vertices).all()
 
+    def test_interpolate_rejects_non_finite_weights(self):
+        model = self._trained()
+        with pytest.raises(ParameterError):
+            deep_aa.interpolate(model, np.array([np.nan, 0.0, 1.0]), np.eye(3)[2], 3)
+        with pytest.raises(ParameterError):
+            deep_aa.interpolate(model, np.eye(3)[0], np.array([np.inf, -np.inf, 1.0]), 3)
+
     def test_interpolate_needs_two_steps(self):
         with pytest.raises(ParameterError):
             deep_aa.interpolate(self._trained(), np.eye(3)[0], np.eye(3)[1], 1)
@@ -406,21 +428,24 @@ class TestGenerateInterpolate:
 
 class TestSerialization:
     def test_round_trip_preserves_forward_pass(self):
-        model = tiny_model(side=True, seed=5)
-        ds = Dataset(x=rng_create(12).standard_normal((100, 4)),
-                     labels=rng_create(13).uniform(size=100))
-        deep_aa.train(model, ds, DeepAaHyper(epochs=1, batch=25, at_weight=3.0,
-                                             side_weight=0.5))
-        back = DeepAaModel.from_dict(model.to_dict())
-        probe = rng_create(14).standard_normal((6, 4))
-        for got, want in zip(back.encode(probe), model.encode(probe)):
-            np.testing.assert_array_equal(got, want)
-        _, _, _, mu = model.encode(probe)
-        for got, want in zip(back.decode(mu), model.decode(mu)):
-            np.testing.assert_array_equal(got, want)
-        # the loss depends on the fitted noise variance and the loss weights
-        labels = rng_create(16).uniform(size=6)
-        assert back.loss(probe, labels, lam=2.0) == model.loss(probe, labels, lam=2.0)
-        np.testing.assert_array_equal(back.noise_var, model.noise_var)
-        np.testing.assert_array_equal(back.median_logvar, model.median_logvar)
-        assert back.history == model.history
+        for activation in ("relu", "tanh"):
+            model = tiny_model(side=True, seed=5, activation=activation)
+            ds = Dataset(x=rng_create(12).standard_normal((100, 4)),
+                         labels=rng_create(13).uniform(size=100))
+            deep_aa.train(model, ds, DeepAaHyper(epochs=1, batch=25, at_weight=3.0,
+                                                 side_weight=0.5))
+            back = DeepAaModel.from_dict(model.to_dict())
+            assert back.arch.activation == activation
+            probe = rng_create(14).standard_normal((6, 4))
+            for got, want in zip(back.encode(probe), model.encode(probe)):
+                np.testing.assert_array_equal(got, want)
+            _, _, _, mu = model.encode(probe)
+            for got, want in zip(back.decode(mu), model.decode(mu)):
+                np.testing.assert_array_equal(got, want)
+            # the loss depends on the fitted noise variance and the loss weights
+            labels = rng_create(16).uniform(size=6)
+            assert (loss_values(back, probe, labels, lam=2.0)
+                    == loss_values(model, probe, labels, lam=2.0))
+            np.testing.assert_array_equal(back.noise_var, model.noise_var)
+            np.testing.assert_array_equal(back.median_logvar, model.median_logvar)
+            assert back.history == model.history

@@ -316,6 +316,10 @@ class TestFit:
             linear_aa.LinearAaConfig(k=0)
         with pytest.raises(ParameterError):
             linear_aa.LinearAaConfig(k=1, rel_tol=0.0)
+        with pytest.raises(ParameterError):
+            linear_aa.LinearAaConfig(k=1, rel_tol=float("nan"))
+        with pytest.raises(ParameterError):
+            linear_aa.LinearAaConfig(k=1, max_outer_iters=-5)
 
 
 class TestOracle:
