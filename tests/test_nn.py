@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ class TestMlp:
         w1 = nn.Mlp([5, 5], rng=rng_create(3)).weights[0].value
         w2 = nn.Mlp([5, 5], rng=rng_create(3)).weights[0].value
         np.testing.assert_array_equal(w1, w2)
+
+    def test_state_round_trip(self):
+        # state() through JSON holds all a network needs to be rebuilt exactly
+        mlp = nn.Mlp([3, 6, 2], activation="tanh", rng=rng_create(4))
+        state = json.loads(json.dumps(mlp.state()))
+        again = nn.Mlp(state["sizes"], activation=state["activation"],
+                       output_activation=state["output_activation"], rng=rng_create(9))
+        for node, value in zip(again.parameters(), state["weights"] + state["biases"]):
+            node.value[...] = np.array(value, float)
+        x = ad.Node(rng_create(5).standard_normal((4, 3)))
+        np.testing.assert_array_equal(mlp.forward(x).value, again.forward(x).value)
 
     def test_parameter_count(self):
         mlp = nn.Mlp([3, 6, 2], rng=rng_create(0))
