@@ -22,6 +22,7 @@ from .errors import (
     MissingGroundTruth,
     NumericalError,
     ParameterError,
+    build_config,
     check_keys,
     check_value,
 )
@@ -168,21 +169,16 @@ def cmd_fit_deep(args) -> int:
     ds = _read_dataset_dir_or_file(args.data)
     arch_dict = datasets.read_json(args.arch, "arch config") if args.arch else {}
     hyper_dict = datasets.read_json(args.hyper, "hyper config") if args.hyper else {}
-    if args.k is not None:
-        arch_dict["k"] = args.k
-    if args.seed is not None:
-        hyper_dict["seed"] = args.seed
-    arch_dict.setdefault("input_dim", ds.p)
-    if "k" not in arch_dict:
-        raise ParameterError("archetype count missing: pass --k or put 'k' "
-                             "in the arch config")
+    if args.k is None:
+        raise ParameterError("archetype count missing: pass --k")
     if args.side_info:
         arch_dict.setdefault("side_hidden", [16])
         if ds.labels is None:
             raise MissingGroundTruth(
                 "--side-info requires a dataset with a label column")
-    arch = deep_aa.DeepAaArch.from_dict(arch_dict)
-    hyper = deep_aa.DeepAaHyper.from_dict(hyper_dict)
+    # the data gives input_dim and the command k and the seed
+    arch = build_config(deep_aa.DeepAaArch, arch_dict, "arch config", input_dim=ds.p, k=args.k)
+    hyper = build_config(deep_aa.DeepAaHyper, hyper_dict, "hyper config", seed=args.seed)
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
     train_ds = ds if args.side_info else datasets.Dataset(x=ds.x)
     deep_aa.train(model, train_ds, hyper)
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", default=None, help="architecture JSON")
     p.add_argument("--hyper", default=None, help="hyperparameter JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side-info", action="store_true",
                    help="train the side-information head on the label column")
     p.set_defaults(func=cmd_fit_deep)

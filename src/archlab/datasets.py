@@ -21,7 +21,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     SchemaVersionError,
     ShapeError,
+    build_config,
     check_fields,
     check_keys,
 )
@@ -89,21 +90,15 @@ class SyntheticSpec:
             )
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n, "p": self.p, "k": self.k, "sigma2": self.sigma2,
-            "embed_seed": self.embed_seed, "sample_seed": self.sample_seed,
-            "warp": ({"kind": "exp", "dim": self.warp_dim}
-                     if self.warp == "exp" else "none"),
-        }
-        if self.alpha is not None:
-            d["alpha"] = list(self.alpha)
+        d = {name: value for name, value in asdict(self).items() if value is not None}
+        dim = d.pop("warp_dim")
+        d["warp"] = {"kind": "exp", "dim": dim} if self.warp == "exp" else "none"
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "SyntheticSpec":
-        check_keys(d, ("n", "p", "k", "sigma2", "embed_seed", "sample_seed", "warp",
-                       "alpha"), "spec")
-        warp = d.get("warp", "none")
+        rest = dict(d)
+        warp = rest.pop("warp", "none")
         if warp == "none" or warp is None:
             kind, dim = "none", 0
         elif isinstance(warp, dict):
@@ -116,14 +111,7 @@ class SyntheticSpec:
             dim = warp["dim"]
         else:
             raise ParameterError(f"unknown warp '{warp}' in field 'warp'")
-        for name in ("n", "p", "k"):
-            if name not in d:
-                raise ParameterError(f"spec is missing field '{name}'")
-        return SyntheticSpec(
-            n=d["n"], p=d["p"], k=d["k"], sigma2=d.get("sigma2", 0.05),
-            embed_seed=d.get("embed_seed", 0), sample_seed=d.get("sample_seed", 1),
-            warp=kind, warp_dim=dim, alpha=d.get("alpha"),
-        )
+        return build_config(SyntheticSpec, rest, "spec", warp=kind, warp_dim=dim)
 
 
 @dataclass
@@ -377,5 +365,5 @@ def read_model(path: str):
         return _MODEL_KINDS[kind].from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path}: {kind} model is missing key {exc}") from exc
-    except (TypeError, ValueError, ShapeError) as exc:
+    except (TypeError, ValueError, ParameterError, ShapeError) as exc:
         raise ParseError(f"{path}: malformed {kind} model: {exc}") from exc

@@ -23,14 +23,14 @@ being scored as if its noise had unit variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
-                     check_fields, check_keys)
+                     build_config, check_fields)
 from .nn import Adam, Mlp
 from .numerics import (SimplexFrame, best_assignment, match_rows, rng_create,
                        simplex_vertices)
@@ -80,18 +80,7 @@ class DeepAaArch:
         return self.k - 1
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim, "k": self.k,
-            "encoder_hidden": list(self.encoder_hidden),
-            "decoder_hidden": list(self.decoder_hidden),
-            "side_hidden": None if self.side_hidden is None else list(self.side_hidden),
-            "activation": self.activation,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DeepAaArch":
-        check_keys(d, {f.name for f in fields(DeepAaArch)}, "arch config")
-        return DeepAaArch(**d)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -110,25 +99,19 @@ class DeepAaHyper:
         check_fields(self, float, "lambda0", "lambda_growth", "at_weight",
                      "side_weight", "lr")
         check_fields(self, int, "lambda_every", "batch", "epochs", "seed")
-        if not (self.lambda0 > 0 and self.lr > 0):  # NaN too
-            raise ParameterError(f"lambda0 and lr must be > 0, got {self.lambda0} and {self.lr}")
+        for name in ("lambda0", "lambda_growth", "lr"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ParameterError(f"field '{name}' must be > 0, got {getattr(self, name)}")
+        for name in ("at_weight", "side_weight"):
+            if not getattr(self, name) >= 0:  # NaN too
+                raise ParameterError(f"field '{name}' must be >= 0, got {getattr(self, name)}")
         if self.batch < 1 or self.epochs < 0:
             raise ParameterError("batch must be >= 1 and epochs >= 0")
         if self.lambda_every < 1:
             raise ParameterError("lambda_every must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0, "lambda_growth": self.lambda_growth,
-            "lambda_every": self.lambda_every, "at_weight": self.at_weight,
-            "side_weight": self.side_weight, "lr": self.lr,
-            "batch": self.batch, "epochs": self.epochs, "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DeepAaHyper":
-        check_keys(d, {f.name for f in fields(DeepAaHyper)}, "hyper config")
-        return DeepAaHyper(**d)
+        return asdict(self)
 
 
 class DeepAaModel:
@@ -239,14 +222,10 @@ class DeepAaModel:
         return x_hat, y_hat
 
     def to_dict(self) -> dict:
+        nets = {name: getattr(self, name) for name in _NETWORKS}
         return {
             "arch": self.arch.to_dict(),
-            "trunk": self.trunk.state(),
-            "a_head": self.a_head.state(),
-            "b_head": self.b_head.state(),
-            "logvar_head": self.logvar_head.state(),
-            "decoder": self.decoder.state(),
-            "side_head": None if self.side_head is None else self.side_head.state(),
+            **{name: None if net is None else net.state() for name, net in nets.items()},
             "median_logvar": self.median_logvar.tolist(),
             "noise_var": self.noise_var.tolist(),
             "at_weight": self.at_weight,
@@ -259,7 +238,7 @@ class DeepAaModel:
     def from_dict(d: dict) -> "DeepAaModel":
         """Load a model saved by :meth:`to_dict` into the networks its arch
         builds. Raises ShapeError when the saved layers do not fit them."""
-        model = DeepAaModel(DeepAaArch.from_dict(d["arch"]))
+        model = DeepAaModel(build_config(DeepAaArch, d["arch"], "arch"))
         for name in _NETWORKS:
             net, state = getattr(model, name), d.get(name)
             if (net is None) != (state is None):

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all archlab modules, and the checks of
 configuration keys and fields that raise them."""
 
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
 
@@ -80,3 +81,15 @@ def check_keys(d, allowed, where: str) -> None:
     if unknown:
         raise ParameterError(
             f"unknown {unknown} in {where}; expected some of {sorted(allowed)}")
+
+
+def build_config(cls, d, where: str, **given):
+    """The config dataclass ``cls`` built from the dict ``d`` (named
+    ``where``) and the fields ``given`` by the caller. Raises ParameterError
+    naming any key of ``d`` that is not a field of ``cls`` or is one of
+    ``given``, and any field without a default that neither sets."""
+    check_keys(d, {f.name for f in fields(cls)} - set(given), where)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d and f.name not in given:
+            raise ParameterError(f"{where} is missing field '{f.name}'")
+    return cls(**d, **given)

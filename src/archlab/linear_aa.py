@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, check_fields
+from .errors import DimensionError, NumericalError, ParameterError, ShapeError, check_fields
 from .numerics import as_matrix, check_finite, rng_create
 
 _INNER_FW_STEPS = 10
@@ -63,9 +63,12 @@ class LinearAaModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LinearAaModel":
+        """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p)."""
+        a, b, z = (np.array(d[name], float) for name in ("a", "b", "z"))
+        if a.ndim != 2 or b.shape != a.shape[::-1] or z.ndim != 2 or len(z) != a.shape[1]:
+            raise ShapeError(f"A {a.shape}, B {b.shape} and Z {z.shape} do not fit together")
         return LinearAaModel(
-            a=np.array(d["a"], float), b=np.array(d["b"], float),
-            z=np.array(d["z"], float), rss=float(d["rss"]),
+            a=a, b=b, z=z, rss=float(d["rss"]),
             iterations=int(d["iterations"]), converged=bool(d["converged"]),
             rss_history=list(d.get("rss_history", [])),
         )

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import deep_aa, linear_aa
 from .datasets import Dataset
-from .errors import ArchlabError, InsufficientPoints, ParameterError, check_keys
+from .errors import ArchlabError, InsufficientPoints, ParameterError, build_config, check_keys
 from .numerics import rng_create
 
 TEST_FRACTION = 0.1
@@ -35,10 +35,24 @@ def _seed_for(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _linear_test_mse(dataset, k, cfg_overrides, seed):
+def _linear_config(dataset, cfg: dict, k: int, seed: int):
+    return build_config(linear_aa.LinearAaConfig, cfg, "sweep config", k=k, seed=seed)
+
+
+def _deep_configs(dataset, cfg: dict, k: int, seed: int):
+    """The (arch, hyper) pair of one deep fit: the data gives input_dim and
+    the sweep gives k and the seed."""
+    check_keys(cfg, ("arch", "hyper"), "sweep config")
+    arch = build_config(deep_aa.DeepAaArch, cfg.get("arch", {}), "sweep config 'arch'",
+                        input_dim=dataset.x.shape[1], k=k)
+    hyper = build_config(deep_aa.DeepAaHyper, cfg.get("hyper", {}), "sweep config 'hyper'",
+                         seed=seed)
+    return arch, hyper
+
+
+def _linear_test_mse(dataset, k, cfg, seed):
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    cfg = linear_aa.LinearAaConfig(k=k, seed=_seed_for(seed, k),
-                                   **cfg_overrides)
+    cfg = _linear_config(dataset, cfg, k, _seed_for(seed, k))
     model = linear_aa.fit_linear_aa(dataset.x[train_idx], cfg)
     x_test = dataset.x[test_idx]
     a_test = linear_aa.transform(x_test, model.z)
@@ -46,12 +60,9 @@ def _linear_test_mse(dataset, k, cfg_overrides, seed):
     return float(np.mean((x_test - a_test @ model.z) ** 2)), stop
 
 
-def _deep_test_mse(dataset, k, cfg_overrides, seed):
+def _deep_test_mse(dataset, k, cfg, seed):
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    arch = deep_aa.DeepAaArch(input_dim=dataset.x.shape[1], k=k,
-                              **cfg_overrides.get("arch", {}))
-    hyper = deep_aa.DeepAaHyper(**cfg_overrides.get("hyper", {}),
-                                seed=_seed_for(seed, k))
+    arch, hyper = _deep_configs(dataset, cfg, k, _seed_for(seed, k))
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
     labels = None if dataset.labels is None else dataset.labels[train_idx]
     deep_aa.train(model, Dataset(x=dataset.x[train_idx], labels=labels),
@@ -77,25 +88,17 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
     cfg = {} if cfg is None else cfg
-    # a config key the fitter does not take (k and the seeds come from the
-    # sweep), or a value of the wrong type or range, is wrong for every k,
-    # so it is rejected before any fit; any valid count stands in for k
     if fit == "linear":
-        worker = _linear_test_mse
-        check_keys(cfg, ("max_outer_iters", "rel_tol"), "sweep config")
-        linear_aa.LinearAaConfig(**cfg, k=1)
+        configs, worker = _linear_config, _linear_test_mse
     elif fit == "deep":
-        worker = _deep_test_mse
-        check_keys(cfg, ("arch", "hyper"), "sweep config")
-        arch, hyper = cfg.get("arch", {}), cfg.get("hyper", {})
-        check_keys(arch, {f.name for f in fields(deep_aa.DeepAaArch)} - {"input_dim", "k"},
-                   "sweep config 'arch'")
-        check_keys(hyper, {f.name for f in fields(deep_aa.DeepAaHyper)} - {"seed"},
-                   "sweep config 'hyper'")
-        deep_aa.DeepAaArch(**arch, input_dim=1, k=2)
-        deep_aa.DeepAaHyper(**hyper)
+        configs, worker = _deep_configs, _deep_test_mse
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
+    # a config key the fitter does not take (k and the seeds come from the
+    # sweep), or a value of the wrong type or range, is wrong for every k,
+    # so it is rejected before any fit; k=2 and seed 0 stand in for the
+    # sweep's, as every fitter takes them
+    configs(dataset, cfg, 2, 0)
 
     curve = SelectionCurve(ks=ks, losses=[])
     for k in ks:

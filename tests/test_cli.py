@@ -395,6 +395,10 @@ def run_with_config(tmp_path, capsys, command, option, payload):
     ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "side_info": {"J": 1}}, "J"),
     ("fit-deep", "--hyper", {"learning_rate": 0.01}, "learning_rate"),
     ("fit-deep", "--arch", {"hidden": [8]}, "hidden"),
+    # the data gives input_dim and the command gives k and the seed
+    ("fit-deep", "--arch", {"k": 3}, "k"),
+    ("fit-deep", "--arch", {"input_dim": 4}, "input_dim"),
+    ("fit-deep", "--hyper", {"seed": 1}, "seed"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):
@@ -404,13 +408,20 @@ def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("payload", [
-    {"lr": -1.0}, {"lr": float("nan")}, {"lambda0": float("nan")},
-], ids=["negative-lr", "nan-lr", "nan-lambda0"])
-def test_out_of_range_hyper_exits_config(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, message", [
+    ({"lr": -1.0}, "field 'lr' must be > 0"),
+    ({"lr": float("nan")}, "field 'lr' must be > 0"),
+    ({"lambda0": float("nan")}, "field 'lambda0' must be > 0"),
+    ({"epochs": 1, "at_weight": -1.0}, "field 'at_weight' must be >= 0"),
+    ({"epochs": 1, "side_weight": float("nan")}, "field 'side_weight' must be >= 0"),
+    ({"epochs": 1, "lambda_growth": float("nan"), "lambda_every": 1},
+     "field 'lambda_growth' must be > 0"),
+], ids=["negative-lr", "nan-lr", "nan-lambda0", "negative-at-weight", "nan-side-weight",
+        "nan-lambda-growth"])
+def test_out_of_range_hyper_exits_config(tmp_path, capsys, payload, message):
     code = run_with_config(tmp_path, capsys, "fit-deep", "--hyper", payload)
     assert code == cli.EXIT_CONFIG
-    assert "must be > 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -362,9 +362,14 @@ class TestModelRoundTrip:
         ' "z": [[1]], "rss": "low", "iterations": 1, "converged": true}',
         '{"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 2, "k": 2},'
         ' "trunk": 5}',
+        # Z's one row does not fit A's two columns
+        '{"schema_version": 1, "kind": "linear_aa", "a": [[1, 0], [0, 1]],'
+        ' "b": [[1, 0], [0, 1]], "z": [[1, 2]], "rss": 0, "iterations": 1,'
+        ' "converged": true}',
+        json.dumps(deep_model_payload(lambda d: d["arch"].pop("k"))),
         *(json.dumps(deep_model_payload(edit)) for edit in MISFIT_DEEP_MODELS.values()),
     ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state",
-            *MISFIT_DEEP_MODELS])
+            "misfit-linear-shapes", "arch-without-k", *MISFIT_DEEP_MODELS])
     def test_malformed_model_names_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

@@ -9,6 +9,7 @@ from archlab.errors import (
     NumericalError,
     ParameterError,
     ShapeError,
+    build_config,
 )
 from archlab.numerics import rng_create, simplex_vertices
 
@@ -43,7 +44,7 @@ class TestArch:
     def test_dict_round_trip(self):
         arch = DeepAaArch(input_dim=4, k=3, encoder_hidden=(16, 8),
                           decoder_hidden=(8,), side_hidden=(4,), activation="tanh")
-        assert DeepAaArch.from_dict(arch.to_dict()) == arch
+        assert build_config(DeepAaArch, arch.to_dict(), "arch") == arch
 
     def test_hyper_validation(self):
         with pytest.raises(ParameterError):
@@ -58,6 +59,14 @@ class TestArch:
             DeepAaHyper(batch=0)
         with pytest.raises(ParameterError):
             DeepAaHyper(lambda_every=0)
+        for bad in ({"lambda_growth": 0.0}, {"lambda_growth": -2.0},
+                    {"lambda_growth": float("nan")}, {"at_weight": -1.0},
+                    {"at_weight": float("nan")}, {"side_weight": -1.0},
+                    {"side_weight": float("nan")}):
+            with pytest.raises(ParameterError, match=f"field '{next(iter(bad))}'"):
+                DeepAaHyper(**bad)
+        # zero weights switch a loss term off
+        DeepAaHyper(at_weight=0.0, side_weight=0.0)
 
 
 class TestEncode:
@@ -281,6 +290,8 @@ class TestTrain:
         last = hist[-5:, 1].mean()
         assert last < first
 
+    # batch 2 is below k=3, which warns (test_small_batch_warns checks that)
+    @pytest.mark.filterwarnings("ignore:batch size:UserWarning")
     def test_lambda_fixed_without_side_head(self):
         model = tiny_model()
         deep_aa.train(model, self._dataset(n=1200), DeepAaHyper(
@@ -288,6 +299,7 @@ class TestTrain:
         lams = {row[6] for row in model.history}
         assert lams == {1.0}
 
+    @pytest.mark.filterwarnings("ignore:batch size:UserWarning")
     def test_lambda_grows_with_side_head(self):
         model = tiny_model(side=True)
         deep_aa.train(model, self._dataset(n=1200, labels=True), DeepAaHyper(
@@ -312,6 +324,8 @@ class TestTrain:
             deep_aa.train(tiny_model(side=True), self._dataset(),
                           DeepAaHyper(epochs=1))
 
+    # the 1e300 entry overflows on its way to the non-finite loss
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_restores_parameters(self):
         model = tiny_model()
         before = [p.value.copy() for p in model.parameters()]
