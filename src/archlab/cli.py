@@ -1,5 +1,8 @@
 """Command-line entry point. Every command writes plot-ready CSV/JSON/SVG
-files plus a run manifest; nothing is interactive.
+files; nothing is interactive. Each command but ``plot`` writes into an
+output directory, where :func:`main` adds a ``manifest.json`` with the keys
+``command``, ``config``, ``seeds``, ``inputs``, ``outputs`` (the other files
+there), ``warnings`` (those shown), ``git_describe`` and ``duration_seconds``.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.
@@ -11,6 +14,7 @@ import argparse
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +53,6 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seeds: dict,
-                    inputs: list, outputs: list, started: float) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seeds": seeds,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "git_describe": _git_describe(),
-        "duration_seconds": time.monotonic() - started,
-    }
-    datasets.write_json(manifest, str(out_dir / "manifest.json"))
-
-
 def _ensure_dir(path: str) -> Path:
     p = Path(path)
     try:
@@ -72,12 +62,12 @@ def _ensure_dir(path: str) -> Path:
     return p
 
 
-def _parse_weights(text: str, k: int | None = None) -> np.ndarray:
+def _parse_weights(text: str, k: int) -> np.ndarray:
     try:
         w = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"cannot parse weights '{text}': {exc}") from exc
-    if k is not None and w.size != k:
+    if w.size != k:
         raise ParameterError(f"expected {k} weights, got {w.size}")
     return w
 
@@ -100,8 +90,7 @@ def _side_info_args(side_info) -> dict:
     return {"kind": kind, "j": j, "w": w}
 
 
-def cmd_gen_data(args) -> int:
-    started = time.monotonic()
+def cmd_gen_data(args) -> dict:
     spec_dict = datasets.read_json(args.spec, "spec")
     side_info = spec_dict.pop("side_info", None)
     side_args = None if side_info is None else _side_info_args(side_info)
@@ -110,15 +99,13 @@ def cmd_gen_data(args) -> int:
     if side_args is not None:
         ds = datasets.make_side_info(ds, **side_args)
     out = _ensure_dir(args.out)
-    datasets.write_csv(ds, str(out / "X.csv"))
-    outputs = [out / "X.csv", out / "X.atrue.csv", out / "X.ztrue.csv"]
+    outputs = datasets.write_csv(ds, str(out / "X.csv"))
     config = spec.to_dict()
     if side_info is not None:
         config["side_info"] = side_info
-    _write_manifest(out, "gen-data", config,
-                    {"embed_seed": spec.embed_seed, "sample_seed": spec.sample_seed},
-                    [args.spec], outputs, started)
-    return EXIT_OK
+    return {"config": config,
+            "seeds": {"embed_seed": spec.embed_seed, "sample_seed": spec.sample_seed},
+            "inputs": [args.spec], "outputs": outputs}
 
 
 def _read_dataset_dir_or_file(path: str) -> datasets.Dataset:
@@ -127,8 +114,19 @@ def _read_dataset_dir_or_file(path: str) -> datasets.Dataset:
     return datasets.read_csv(str(p / "X.csv" if p.is_dir() else p))
 
 
-def cmd_fit_linear(args) -> int:
-    started = time.monotonic()
+def _write_scatter(points, vertices, prefix: str, path: Path) -> Path:
+    """``points`` tagged 0 followed by the archetype ``vertices`` tagged 1,
+    with columns ``<prefix>1, <prefix>2, ...`` and ``tag``."""
+    tags = np.concatenate([np.zeros(len(points)), np.ones(len(vertices))])
+    datasets.write_matrix_csv(
+        np.column_stack([np.vstack([points, vertices]), tags]),
+        [f"{prefix}{i + 1}" for i in range(points.shape[1])] + ["tag"],
+        str(path),
+    )
+    return path
+
+
+def cmd_fit_linear(args) -> dict:
     ds = _read_dataset_dir_or_file(args.data)
     cfg = linear_aa.LinearAaConfig(
         k=args.k, max_outer_iters=args.max_iters, rel_tol=args.tol,
@@ -143,36 +141,26 @@ def cmd_fit_linear(args) -> int:
     datasets.write_matrix_csv(rss_log, ["iteration", "rss"],
                               str(out / "rss_log.csv"))
     # PCA projection of data plus archetypes for plotting
-    q = min(3, ds.p, ds.n)
-    pca = pca_fit(ds.x, q)
-    proj = np.vstack([pca_project(pca, ds.x), pca_project(pca, model.z)])
-    tags = np.concatenate([np.zeros(ds.n), np.ones(cfg.k)])
-    datasets.write_matrix_csv(
-        np.column_stack([proj, tags]),
-        [f"pc{i + 1}" for i in range(q)] + ["tag"],
-        str(out / "pca_scatter.csv"),
-    )
-    _write_manifest(
-        out, "fit-linear",
-        {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
-         "rel_tol": cfg.rel_tol, "rss": model.rss,
-         "iterations": model.iterations, "converged": model.converged},
-        {"seed": cfg.seed}, [args.data],
-        [out / "model.json", out / "rss_log.csv", out / "pca_scatter.csv"],
-        started,
-    )
-    return EXIT_OK
+    pca = pca_fit(ds.x, min(3, ds.p, ds.n))
+    scatter = _write_scatter(pca_project(pca, ds.x), pca_project(pca, model.z),
+                             "pc", out / "pca_scatter.csv")
+    return {"config": {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
+                       "rel_tol": cfg.rel_tol, "rss": model.rss,
+                       "iterations": model.iterations, "converged": model.converged},
+            "seeds": {"seed": cfg.seed}, "inputs": [args.data],
+            "outputs": [out / "model.json", out / "rss_log.csv", scatter]}
 
 
-def cmd_fit_deep(args) -> int:
-    started = time.monotonic()
+def cmd_fit_deep(args) -> dict:
     ds = _read_dataset_dir_or_file(args.data)
     arch_dict = datasets.read_json(args.arch, "arch config") if args.arch else {}
     hyper_dict = datasets.read_json(args.hyper, "hyper config") if args.hyper else {}
     if args.k is None:
         raise ParameterError("archetype count missing: pass --k")
     if args.side_info:
-        arch_dict.setdefault("side_hidden", [16])
+        if arch_dict.setdefault("side_hidden", [16]) is None:
+            raise ParameterError("--side-info needs a side head, but field "
+                                 "'side_hidden' in arch config is null")
         if ds.labels is None:
             raise MissingGroundTruth(
                 "--side-info requires a dataset with a label column")
@@ -189,27 +177,18 @@ def cmd_fit_deep(args) -> int:
                               deep_aa.HISTORY_COLUMNS,
                               str(out / "history.csv"))
     _, _, _, mu = model.encode(ds.x)
-    latent = np.vstack([mu, model.frame.vertices])
-    tags = np.concatenate([np.zeros(ds.n), np.ones(arch.k)])
-    datasets.write_matrix_csv(
-        np.column_stack([latent, tags]),
-        [f"t{i + 1}" for i in range(arch.latent_dim)] + ["tag"],
-        str(out / "latent_scatter.csv"),
-    )
-    outputs = [out / "model.json", out / "history.csv", out / "latent_scatter.csv"]
-    config = {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
-              "side_info": bool(args.side_info)}
+    outputs = [out / "model.json", out / "history.csv",
+               _write_scatter(mu, model.frame.vertices, "t", out / "latent_scatter.csv")]
     if ds.z_true is not None and ds.z_true.shape[0] == arch.k:
         report = deep_aa.vertex_recovery_report(model, ds)
         datasets.write_json(report, str(out / "vertex_recovery.json"))
         outputs.append(out / "vertex_recovery.json")
-    _write_manifest(out, "fit-deep", config, {"seed": hyper.seed},
-                    [args.data], outputs, started)
-    return EXIT_OK
+    return {"config": {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
+                       "side_info": bool(args.side_info)},
+            "seeds": {"seed": hyper.seed}, "inputs": [args.data], "outputs": outputs}
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
+def cmd_sweep(args) -> dict:
     ds = _read_dataset_dir_or_file(args.data)
     try:
         ks = sorted({int(v) for v in args.ks.split(",")})
@@ -221,20 +200,23 @@ def cmd_sweep(args) -> int:
     rows = np.array([[float(k), l] for k, l in model_selection.curve_rows(curve)])
     datasets.write_matrix_csv(rows.reshape(-1, 2), ["k", "loss"],
                               str(out / "curve.csv"))
-    _write_manifest(out, "sweep",
-                    {"ks": ks, "fit": args.fit, "config": cfg,
-                     "chosen_k": curve.chosen_k, "failures": curve.failures,
-                     "stops": curve.stops},
-                    {"seed": args.seed}, [args.data], [out / "curve.csv"],
-                    started)
-    return EXIT_OK
+    return {"config": {"ks": ks, "fit": args.fit, "config": cfg,
+                       "chosen_k": curve.chosen_k, "failures": curve.failures,
+                       "stops": curve.stops},
+            "seeds": {"seed": args.seed}, "inputs": [args.data],
+            "outputs": [out / "curve.csv"]}
 
 
-def cmd_interpolate(args) -> int:
-    started = time.monotonic()
+def _read_deep_model(args) -> deep_aa.DeepAaModel:
+    """The deep model in ``args.model``; a linear one is a ParameterError."""
     model = datasets.read_model(args.model)
     if not isinstance(model, deep_aa.DeepAaModel):
-        raise ParameterError("interpolate requires a deep model")
+        raise ParameterError(f"{args.command} requires a deep model")
+    return model
+
+
+def cmd_interpolate(args) -> dict:
+    model = _read_deep_model(args)
     k = model.arch.k
     a_start = _parse_weights(getattr(args, "from"), k)
     a_end = _parse_weights(args.to, k)
@@ -244,18 +226,13 @@ def cmd_interpolate(args) -> int:
         decoded, [f"x{j}" for j in range(decoded.shape[1])],
         str(out / "interpolation.csv"),
     )
-    _write_manifest(out, "interpolate",
-                    {"from": list(map(float, a_start)),
-                     "to": list(map(float, a_end)), "steps": args.steps},
-                    {}, [args.model], [out / "interpolation.csv"], started)
-    return EXIT_OK
+    return {"config": {"from": list(map(float, a_start)),
+                       "to": list(map(float, a_end)), "steps": args.steps},
+            "seeds": {}, "inputs": [args.model], "outputs": [out / "interpolation.csv"]}
 
 
-def cmd_sample(args) -> int:
-    started = time.monotonic()
-    model = datasets.read_model(args.model)
-    if not isinstance(model, deep_aa.DeepAaModel):
-        raise ParameterError("sample requires a deep model")
+def cmd_sample(args) -> dict:
+    model = _read_deep_model(args)
     weights = _parse_weights(args.weights, model.arch.k)
     rng = rng_create(args.seed) if args.noise else None
     row, y_hat = deep_aa.generate(model, weights, rng=rng, use_noise=args.noise)
@@ -266,17 +243,15 @@ def cmd_sample(args) -> int:
         body = np.hstack([body, [[y_hat]]])
         header += ["label"]
     datasets.write_matrix_csv(body, header, str(out / "sample.csv"))
-    _write_manifest(out, "sample",
-                    {"weights": list(map(float, weights)), "noise": args.noise},
-                    {"seed": args.seed if args.noise else None},
-                    [args.model], [out / "sample.csv"], started)
-    return EXIT_OK
+    return {"config": {"weights": list(map(float, weights)), "noise": args.noise},
+            "seeds": {"seed": args.seed if args.noise else None},
+            "inputs": [args.model], "outputs": [out / "sample.csv"]}
 
 
 _PLOT_KINDS = ("scatter", "line")
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     if args.kind not in _PLOT_KINDS:
         raise ParameterError(
             f"unknown CSV kind '{args.kind}' (choose from {sorted(_PLOT_KINDS)})"
@@ -298,7 +273,6 @@ def cmd_plot(args) -> int:
         else:
             chart.add_series("data", m[:, 0], m[:, 1])
     datasets.atomic_write_text(args.out, chart.render())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; write the run record it returns to its manifest."""
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
+    shown, show = [], warnings.showwarning
+
+    def keep(message, category, *where):
+        shown.append(f"{category.__name__}: {message}")
+        show(message, category, *where)
+
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = keep  # each warning shown is also kept
+            record = args.func(args)
+        if record is not None:
+            record.update(
+                command=args.command,
+                outputs=[str(p) for p in record["outputs"]],
+                warnings=shown,
+                git_describe=_git_describe(),
+                duration_seconds=time.monotonic() - started,
+            )
+            datasets.write_json(record, str(Path(args.out) / "manifest.json"))
+        return EXIT_OK
     except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -282,20 +282,24 @@ def _sidecar(path: str, tag: str) -> str:
     return f"{stem}.{tag}{ext or '.csv'}"
 
 
-def write_csv(ds: Dataset, path: str) -> None:
-    """Write the dataset to ``path`` with ground-truth sidecar files."""
+def write_csv(ds: Dataset, path: str) -> list[str]:
+    """Write the dataset to ``path`` with ground-truth sidecar files;
+    returns the paths written."""
     header = list(ds.columns)
     body = ds.x
     if ds.labels is not None:
         header = header + ["label"]
         body = np.hstack([ds.x, ds.labels[:, None]])
     write_matrix_csv(body, header, path)
+    written = [path]
     if ds.a_true is not None:
         k = ds.a_true.shape[1]
-        write_matrix_csv(ds.a_true, [f"a{j}" for j in range(k)],
-                         _sidecar(path, "atrue"))
+        written.append(_sidecar(path, "atrue"))
+        write_matrix_csv(ds.a_true, [f"a{j}" for j in range(k)], written[-1])
     if ds.z_true is not None:
-        write_matrix_csv(ds.z_true, list(ds.columns), _sidecar(path, "ztrue"))
+        written.append(_sidecar(path, "ztrue"))
+        write_matrix_csv(ds.z_true, list(ds.columns), written[-1])
+    return written
 
 
 def read_csv(path: str) -> Dataset:

@@ -191,14 +191,15 @@ _TRANSFORM_FW_STEPS = 2000
 
 
 def transform(x, z) -> np.ndarray:
-    """Optimal simplex weights A for fixed archetypes Z.
+    """Simplex weights A for fixed archetypes Z; approximate for k > 12.
 
     For k <= 12 the simplex-constrained least-squares problem is solved
     exactly per row: every support set is enumerated, the equality-
     constrained optimum on that support is computed from its KKT system,
     and the best feasible candidate is kept (the true optimum's support is
     among the subsets, so this attains the global minimum). Larger k falls
-    back to 2000 Frank-Wolfe steps.
+    back to 2000 Frank-Wolfe steps, which need not reach the optimum on a
+    nearly flat simplex.
     """
     x = as_matrix(x, "X")
     z = as_matrix(z, "Z")

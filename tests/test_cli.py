@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -190,6 +193,31 @@ class TestFitDeep:
         data = gen_dataset(tmp_path)
         code = run("fit-deep", "--data", data, "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
+
+    def test_side_info_with_null_side_head_exits_config(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, side_info={"kind": "mixture_projection", "j": 0})
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps({"side_hidden": None}))
+        capsys.readouterr()
+        code = run("fit-deep", "--data", data, "--k", 3, "--arch", arch,
+                   "--side-info", "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "field 'side_hidden'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_records_warnings(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        hyper = tmp_path / "hyper.json"
+        hyper.write_text(json.dumps({"epochs": 1, "batch": 2}))
+        out = tmp_path / "o"
+        # the warning is still shown, not only recorded
+        with pytest.warns(UserWarning, match="batch size 2 below k=3"):
+            code = run("fit-deep", "--data", data, "--k", 3, "--hyper", hyper,
+                       "--out", out)
+        assert code == cli.EXIT_OK
+        warned = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert len(warned) == 1
+        assert warned[0].startswith("UserWarning: batch size 2 below k=3")
 
 
 class TestSweep:
@@ -437,3 +465,64 @@ def test_config_that_is_not_an_object_exits_config(tmp_path, capsys, command, op
     assert str(tmp_path / "config.json") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
+
+MANIFEST_KEYS = {"command", "config", "seeds", "inputs", "outputs", "warnings",
+                 "git_describe", "duration_seconds"}
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """Paths for the manifest tests: a spec, a gen-data directory from it,
+    small arch and hyper files, and a deep model fitted with them."""
+    tmp = tmp_path_factory.mktemp("fitted")
+    code, deep = TestFitDeep().fit(tmp, gen_dataset(tmp))
+    assert code == cli.EXIT_OK
+    return {"spec": tmp / "spec.json", "data": tmp / "data", "arch": tmp / "arch.json",
+            "hyper": tmp / "hyper.json", "model": deep / "model.json"}
+
+
+DEEP_FILES = {"model.json", "history.csv", "latent_scatter.csv"}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["gen-data", "--spec", "{spec}"], {"X.csv", "X.atrue.csv", "X.ztrue.csv"}),
+    (["fit-linear", "--data", "{data}", "--k", "3"],
+     {"model.json", "rss_log.csv", "pca_scatter.csv"}),
+    # vertex_recovery.json only when the ground truth has k archetypes
+    (["fit-deep", "--data", "{data}", "--k", "3", "--arch", "{arch}", "--hyper", "{hyper}"],
+     DEEP_FILES | {"vertex_recovery.json"}),
+    (["fit-deep", "--data", "{data}", "--k", "2", "--arch", "{arch}", "--hyper", "{hyper}"],
+     DEEP_FILES),
+    (["sweep", "--data", "{data}", "--ks", "1,2"], {"curve.csv"}),
+    (["interpolate", "--model", "{model}", "--from", "1,0,0", "--to", "0,0,1"],
+     {"interpolation.csv"}),
+    (["sample", "--model", "{model}", "--weights", "0.2,0.3,0.5"], {"sample.csv"}),
+], ids=["gen-data", "fit-linear", "fit-deep", "fit-deep-no-recovery", "sweep",
+        "interpolate", "sample"])
+def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
+    out = tmp_path / "o"
+    assert run(*(a.format(**fitted) for a in argv), "--out", out) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == [argv[2].format(**fitted)]
+    assert manifest["warnings"] == []
+    assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in files)
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+
+    def archlab(*argv):
+        return subprocess.run([sys.executable, "-m", "archlab.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    ok = archlab("gen-data", "--spec", write_spec(tmp_path), "--out", tmp_path / "data")
+    assert ok.returncode == cli.EXIT_OK, ok.stderr
+    assert (tmp_path / "data" / "manifest.json").exists()
+    bad = archlab("gen-data", "--spec", write_spec(tmp_path, n="x"), "--out", tmp_path / "o")
+    assert bad.returncode == cli.EXIT_CONFIG
+    assert bad.stderr.startswith("error:") and "field 'n'" in bad.stderr
