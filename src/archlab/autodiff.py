@@ -1,45 +1,49 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The op set is deliberately small: exactly what the deep archetypal model
-needs (matmul, add with row-bias broadcast, elementwise arithmetic, relu,
-tanh, exp, square, clamp, row softmax, transpose and sum). Graphs are built
-eagerly; ``backward`` on a scalar node runs the chain rule over a
-topological order. Double backward is not supported.
-
+The op set is what the deep archetypal model needs: matmul and the fused
+layer ``affine`` (``x @ w + b``), add with row-bias broadcast, elementwise
+arithmetic, relu, tanh, exp, square, clamp, row softmax, transpose and sum.
 Each op builds ``Node(value, parents, grad_fns)``: ``grad_fns[i]`` maps the
 output's gradient to the gradient of ``parents[i]`` (before a broadcast
-parent's gradient is summed back to its shape). Only nodes that need a
-gradient get one: a ``Node(value)`` leaf does, a ``constant`` does not, and
-a computed node does when any of its parents does. ``backward`` neither
-visits nor computes gradients for the others, so constants, data batches
-and graphs used only for evaluation hold no gradient buffer.
+parent's gradient is summed back to its shape). Graphs are built eagerly
+and each node takes the next creation index, so it comes after its
+parents. ``backward`` on a scalar node runs the ancestors that need a
+gradient in descending index order, the tape of a Wengert list: a node runs
+after every node that consumes it. Double backward is not supported.
 
-A computed node's ``grad`` is None until ``backward`` first reaches it; it
-is then allocated as ``zeros_like(value)`` and each contribution is added
-in place. ``zeros_like`` gives the buffer the value's memory layout (a
-transpose is Fortran-ordered). Ops further down sum that buffer along an
-axis, and NumPy's axis sums round differently by layout, so storing the
-first contribution itself (which may be a transposed view) would change
-the gradients' last bits. A trainable leaf keeps a zero gradient from the
-start, which ``zero_grad`` and the optimizer rely on.
+Only nodes that need a gradient get one: a ``Node(value)`` leaf does, a
+``constant`` does not, and a computed node does when any of its parents
+does, so constants, data batches and evaluation-only graphs hold none. A
+leaf has its gradient from the start and ``backward`` adds into it in
+place, which ``zero_grad`` and the optimizer's flat buffer rely on. A
+computed node's ``grad`` is None until its first contribution is copied
+into a buffer with the value's memory layout (a transpose is
+Fortran-ordered). Storing the contribution itself would alias another
+node's gradient when it is one, and when it is a transposed view the axis
+sums further down would round differently, as NumPy's do by layout.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .errors import GraphError, ShapeError
 
+_created = itertools.count()  # creation index of the next node
+
 
 class Node:
     """A value in the computation graph with its accumulated gradient."""
 
-    __slots__ = ("value", "grad", "parents", "grad_fns", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "grad_fns", "requires_grad", "index")
 
     def __init__(self, value, parents=(), grad_fns=(), requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
         self.grad_fns = grad_fns
+        self.index = next(_created)
         if parents:
             requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
@@ -54,29 +58,24 @@ class Node:
 
     def backward(self):
         if self.value.size != 1:
-            raise GraphError(
-                f"backward requires a scalar loss, got shape {self.value.shape}"
-            )
-        order = []
-        seen = set()
-        stack = [(self, False)]
+            raise GraphError(f"backward requires a scalar loss, got shape {self.value.shape}")
+        tape, stack = {self.index: self}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            elif node.requires_grad and id(node) not in seen:
-                seen.add(id(node))
-                stack.append((node, True))
-                stack.extend((parent, False) for parent in node.parents)
+            for parent in stack.pop().parents:
+                if parent.parents and parent.requires_grad and parent.index not in tape:
+                    tape[parent.index] = parent
+                    stack.append(parent)
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
+        for index in sorted(tape, reverse=True):
+            node = tape[index]
             for parent, grad_fn in zip(node.parents, node.grad_fns):
                 if parent.requires_grad:
+                    grad = _unbroadcast(grad_fn(node.grad), parent.value.shape)
                     if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.value)
-                    parent.grad += _unbroadcast(grad_fn(node.grad), parent.shape)
-
-    # -- arithmetic -------------------------------------------------------
+                        parent.grad = np.empty_like(parent.value)
+                        parent.grad[...] = grad
+                    else:
+                        parent.grad += grad
 
     def __add__(self, other):
         a, b = self, _wrap(other)
@@ -104,11 +103,21 @@ class Node:
         return self * -1.0
 
     def __matmul__(self, other):
-        a, b = self, _wrap(other)
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        return Node(a.value @ b.value, (a, b),
-                    (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
+        return affine(self, _wrap(other))
+
+
+def affine(x: Node, w: Node, b: Node | None = None) -> Node:
+    """``x @ w``, plus a row bias ``b`` of shape (d,) if one is given."""
+    if (x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]
+            or b is not None and b.shape != w.shape[1:]):
+        bias = "" if b is None else f" + bias {b.shape}"
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} @ {w.shape}{bias}")
+    out = x.value @ w.value
+    grad_fns = (lambda g: g @ w.value.T, lambda g: x.value.T @ g)
+    if b is None:
+        return Node(out, (x, w), grad_fns)
+    out += b.value
+    return Node(out, (x, w, b), grad_fns + (_identity,))
 
 
 def _identity(g):
@@ -122,31 +131,23 @@ def _wrap(x) -> Node:
 def _bias_broadcast(shape_a, shape_b) -> bool:
     """Allow (m, d) + (d,) / (1, d) row-bias style broadcasts only."""
     big, small = (shape_a, shape_b) if len(shape_a) >= len(shape_b) else (shape_b, shape_a)
-    if len(big) == 2 and small in ((big[1],), (1, big[1])):
-        return True
-    return small == () or small == (1,)
+    return small in ((), (1,)) or len(big) == 2 and small in ((big[1],), (1, big[1]))
 
 
 def _unbroadcast(grad, shape):
-    """Sum a gradient back to the shape of a broadcast operand. A scalar
-    gradient (from ``reduce_sum``) broadcasts in the caller's ``+=``."""
+    """Sum a gradient back to the shape of a broadcast operand: a scalar or
+    a row bias (see ``_bias_broadcast``). A scalar gradient (from
+    ``reduce_sum``) broadcasts where the caller stores it."""
     if grad.shape == shape or grad.shape == ():
         return grad
     if shape == () or shape == (1,):
         return grad.sum().reshape(shape)
-    if len(shape) == 1:
-        return grad.sum(axis=0)
-    if len(shape) == 2 and shape[0] == 1:
-        return grad.sum(axis=0, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {grad.shape} to {shape}")
+    return grad.sum(axis=0).reshape(shape)
 
 
 def constant(x) -> Node:
     return Node(x, requires_grad=False)
 
-
-# ---------------------------------------------------------------------------
-# Elementwise ops
 
 def relu(a: Node) -> Node:
     return Node(np.maximum(a.value, 0.0), (a,), (lambda g: (a.value > 0.0) * g,))
@@ -171,9 +172,6 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
     return Node(np.clip(a.value, lo, hi), (a,),
                 (lambda g: ((a.value >= lo) & (a.value <= hi)) * g,))
 
-
-# ---------------------------------------------------------------------------
-# Structured ops
 
 def row_softmax(a: Node) -> Node:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)

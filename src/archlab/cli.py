@@ -48,7 +48,7 @@ def _git_describe() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it timed out
         pass
     return "unknown"
 

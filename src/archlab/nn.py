@@ -39,17 +39,11 @@ class Mlp:
         return self.weights + self.biases
 
     def forward(self, x: ad.Node) -> ad.Node:
-        if x.value.ndim != 2 or x.value.shape[1] != self.sizes[0]:
-            raise ShapeError(
-                f"MLP expects input (m, {self.sizes[0]}), got {x.value.shape}"
-            )
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            act = self.output_activation if i == last else self.activation
-            h = _ACTIVATIONS[act](h)
-        return h
+        """The network on a batch of shape (m, sizes[0]); else ShapeError."""
+        acts = [self.activation] * (len(self.weights) - 1) + [self.output_activation]
+        for w, b, act in zip(self.weights, self.biases, acts):
+            x = _ACTIVATIONS[act](ad.affine(x, w, b))
+        return x
 
     def state(self):
         return {
@@ -62,31 +56,39 @@ class Mlp:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a fixed parameter list."""
+    """Standard bias-corrected Adam over a fixed parameter list. It copies
+    the parameters' values and gradients into flat float64 buffers
+    (``values``, ``grads``) and makes each parameter's ``value`` and
+    ``grad`` a view of its slice, so ``step`` is five vector operations,
+    bit-identical to a loop over the arrays as Adam is elementwise. Write
+    parameters in place: ``step`` raises ``ShapeError`` if one is not its view."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self.values, self.grads = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        start = 0
+        for p in self.params:
+            stop = start + p.value.size
+            value, grad = (flat[start:stop].reshape(p.shape) for flat in (self.values, self.grads))
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad, start = value, grad, stop
+        self._views = [(p.value, p.grad) for p in self.params]
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grads.fill(0.0)
 
     def step(self):
+        if any(p.value is not value or p.grad is not grad
+               for p, (value, grad) in zip(self.params, self._views)):
+            raise ShapeError("a parameter's value or gradient is no longer its view")
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g.shape != p.value.shape:
-                raise ShapeError("gradient shape does not match parameter")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * self.grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * self.grads**2
+        m_hat = self.m / (1.0 - self.beta1**t)
+        v_hat = self.v / (1.0 - self.beta2**t)
+        self.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -73,6 +73,22 @@ class TestArithmetic:
         with pytest.raises(ShapeError):
             ad.Node(np.zeros((2, 3))) @ ad.Node(np.zeros((2, 3)))
 
+    def test_affine(self):
+        check_grad(lambda x, w, b: ad.reduce_sum(ad.square(ad.affine(x, w, b))),
+                   (5, 3), (3, 4), (4,))
+
+    def test_affine_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(1)
+        x, w, b = (ad.Node(rng.normal(size=s)) for s in ((6, 5), (5, 4), (4,)))
+        np.testing.assert_array_equal(ad.affine(x, w, b).value, (x @ w + b).value)
+
+    def test_affine_shape_error(self):
+        x, w = ad.Node(np.zeros((2, 3))), ad.Node(np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.affine(x, w, ad.Node(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.affine(w, x, ad.Node(np.zeros(4)))
+
 
 class TestElementwise:
     def test_relu(self):
@@ -194,3 +210,46 @@ class TestGraph:
         graph = [n for key, n in nodes.items() if key not in params]
         assert len(graph) > 10
         assert all(n.grad is None for n in graph)
+
+
+class TestTape:
+    """backward runs the graph in reverse creation order; each case is
+    checked against gradients derived by hand."""
+
+    def test_diamond(self):
+        # a feeds b = 3a and c = exp(a), both feed b * c, and b also feeds
+        # the loss directly: L = sum(b * c + b) = sum(3a exp(a) + 3a)
+        a = ad.Node([[0.5, -1.0, 2.0]])
+        b = a * 3.0
+        c = ad.exp(a)
+        loss = ad.reduce_sum(b * c + b)
+        loss.backward()
+        e = np.exp(a.value)
+        np.testing.assert_allclose(b.grad, e + 1.0, rtol=1e-14)
+        np.testing.assert_allclose(c.grad, 3.0 * a.value, rtol=1e-14)
+        np.testing.assert_allclose(a.grad, 3.0 * (e + 1.0) + 3.0 * a.value * e,
+                                   rtol=1e-14)
+
+    def test_node_used_twice_in_one_op(self):
+        # a computed node as both operands: L = sum(b * b) + sum(b + b) with
+        # b = exp(a), so dL/db = 2b + 2 and dL/da = (2b + 2) b
+        a = ad.Node([[0.3, -0.7]])
+        b = ad.exp(a)
+        loss = ad.reduce_sum(b * b) + ad.reduce_sum(b + b)
+        loss.backward()
+        np.testing.assert_allclose(b.grad, 2.0 * b.value + 2.0, rtol=1e-14)
+        np.testing.assert_allclose(a.grad, (2.0 * b.value + 2.0) * b.value, rtol=1e-14)
+
+    def test_only_ancestors_and_no_constants_get_gradients(self):
+        # L = sum(k * a^2) with a constant k; nodes built before and after
+        # the loss that it does not depend on get no gradient
+        a = ad.Node([[1.5, -2.0]])
+        k = ad.constant([[2.0, 3.0]])
+        unused = ad.exp(a)
+        loss = ad.reduce_sum(k * ad.square(a))
+        later = a * 4.0
+        loss.backward()
+        np.testing.assert_allclose(a.grad, 2.0 * k.value * a.value, rtol=1e-14)
+        assert k.grad is None
+        assert unused.grad is None
+        assert later.grad is None

@@ -71,6 +71,14 @@ class TestGenData:
         monkeypatch.chdir(tmp_path)
         assert cli._git_describe() == here
 
+    def test_git_describe_timeout_still_writes_manifest(self, tmp_path, monkeypatch):
+        def slow_git(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+        monkeypatch.setattr(cli.subprocess, "run", slow_git)
+        out = gen_dataset(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["git_describe"] == "unknown"
+
     def test_invalid_field_exits_config(self, tmp_path, capsys):
         spec = write_spec(tmp_path, warp={"kind": "exp", "dim": 9})
         code = run("gen-data", "--spec", spec, "--out", tmp_path / "o")

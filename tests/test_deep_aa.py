@@ -217,6 +217,35 @@ class TestLoss:
         )
 
 
+def worst_gradient_error(model, x, y, lam, noise, h=1e-5):
+    """c04's check: zero each parameter's gradient, backpropagate the loss
+    and return the worst relative error against central differences."""
+    def loss_value():
+        total, _ = model._loss_nodes(x, y, lam, noise)
+        return float(total.value)
+
+    total, _ = model._loss_nodes(x, y, lam, noise)
+    for p in model.parameters():
+        p.zero_grad()
+    total.backward()
+    worst = 0.0
+    for p in model.parameters():
+        fd = np.zeros_like(p.value)
+        it = np.nditer(p.value, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = p.value[idx]
+            p.value[idx] = orig + h
+            hi = loss_value()
+            p.value[idx] = orig - h
+            lo = loss_value()
+            p.value[idx] = orig
+            fd[idx] = (hi - lo) / (2 * h)
+        denom = np.maximum(np.abs(fd), 1e-6)
+        worst = max(worst, float(np.max(np.abs(p.grad - fd) / denom)))
+    return worst
+
+
 class TestGradientCheck:
     def test_full_loss_matches_finite_differences(self):
         # central differences at a generic parameter point (relu kinks sit
@@ -228,32 +257,28 @@ class TestGradientCheck:
             p.value += 0.1 * prng.standard_normal(p.value.shape)
         x = prng.standard_normal((5, 4))
         noise = prng.standard_normal((5, 2))
+        assert worst_gradient_error(model, x, None, 1.3, noise) <= 1e-4
 
-        def loss_value():
-            total, _ = model._loss_nodes(x, None, 1.3, noise)
-            return float(total.value)
-
-        total, _ = model._loss_nodes(x, None, 1.3, noise)
-        for p in model.parameters():
-            p.zero_grad()
-        total.backward()
-        h = 1e-5
-        worst = 0.0
-        for p in model.parameters():
-            fd = np.zeros_like(p.value)
-            it = np.nditer(p.value, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p.value[idx]
-                p.value[idx] = orig + h
-                hi = loss_value()
-                p.value[idx] = orig - h
-                lo = loss_value()
-                p.value[idx] = orig
-                fd[idx] = (hi - lo) / (2 * h)
-            denom = np.maximum(np.abs(fd), 1e-6)
-            worst = max(worst, float(np.max(np.abs(p.grad - fd) / denom)))
-        assert worst <= 1e-4
+    def test_trained_model_keeps_the_gradient_contract(self):
+        # after train() every parameter is a view into the optimizer's flat
+        # buffers; the per-parameter zero_grad / backward / grad contract and
+        # the saved model must not notice
+        model = tiny_model(k=3, p=4, side=True, seed=2)
+        prng = rng_create(20)
+        deep_aa.train(model, Dataset(x=prng.standard_normal((100, 4)),
+                                     labels=prng.uniform(size=100)),
+                      DeepAaHyper(epochs=2, batch=25, seed=3))
+        params = model.parameters()
+        values, grads = params[0].value.base, params[0].grad.base
+        assert values is not None and all(p.value.base is values for p in params)
+        assert grads is not None and all(p.grad.base is grads for p in params)
+        x = prng.standard_normal((5, 4))
+        y = prng.uniform(size=5)
+        noise = prng.standard_normal((5, 2))
+        assert worst_gradient_error(model, x, y, 1.3, noise) <= 1e-4
+        back = DeepAaModel.from_dict(model.to_dict())
+        for got, want in zip(back.encode(x), model.encode(x)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrain:

@@ -68,7 +68,58 @@ class TestMlp:
             assert np.any(p.grad != 0.0)
 
 
+class LoopAdam:
+    """Reference: Adam as a loop over the parameter arrays, one update each."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+
+    def step(self):
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g**2
+            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 class TestAdam:
+    def test_parameters_become_views_of_the_buffer(self):
+        mlp = nn.Mlp([3, 5, 4, 2], rng=rng_create(10))
+        before = [p.value.copy() for p in mlp.parameters()]
+        opt = nn.Adam(mlp.parameters())
+        assert opt.values.size == sum(v.size for v in before)
+        for p, value in zip(mlp.parameters(), before):
+            np.testing.assert_array_equal(p.value, value)
+            assert p.value.shape == p.grad.shape == value.shape
+            assert np.shares_memory(p.value, opt.values)
+            assert np.shares_memory(p.grad, opt.grads)
+        mlp.weights[1].grad[...] = 1.0
+        opt.zero_grad()
+        assert not opt.grads.any()
+
+    def test_matches_per_array_loop_bit_for_bit(self):
+        rng = rng_create(11)
+        x, y = rng.standard_normal((30, 3)), rng.standard_normal((30, 2))
+        flat, loop = (nn.Mlp([3, 8, 6, 2], activation="tanh", rng=rng_create(12))
+                      for _ in range(2))
+        flat_opt = nn.Adam(flat.parameters(), lr=0.01)
+        loop_opt = LoopAdam(loop.parameters(), lr=0.01)
+        for _ in range(20):
+            for net in (flat, loop):
+                for p in net.parameters():
+                    p.zero_grad()
+                ad.reduce_sum(ad.square(net.forward(ad.constant(x)) - y)).backward()
+            flat_opt.step()
+            loop_opt.step()
+            for p, q in zip(flat.parameters(), loop.parameters()):
+                np.testing.assert_array_equal(p.value, q.value)
+
     def test_minimizes_quadratic(self):
         # minimize ||w - target||^2; Adam should converge
         target = np.array([[1.0, -2.0], [0.5, 3.0]])
