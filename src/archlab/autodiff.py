@@ -26,6 +26,7 @@ sums further down would round differently, as NumPy's do by layout.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -135,12 +136,12 @@ def _bias_broadcast(shape_a, shape_b) -> bool:
 
 
 def _unbroadcast(grad, shape):
-    """Sum a gradient back to the shape of a broadcast operand: a scalar or
-    a row bias (see ``_bias_broadcast``). A scalar gradient (from
-    ``reduce_sum``) broadcasts where the caller stores it."""
+    """Sum a gradient back to the shape of a broadcast operand: one of size 1
+    (of any rank) or a row bias (see ``_bias_broadcast``). A scalar gradient
+    (from ``reduce_sum``) broadcasts where the caller stores it."""
     if grad.shape == shape or grad.shape == ():
         return grad
-    if shape == () or shape == (1,):
+    if math.prod(shape) == 1:
         return grad.sum().reshape(shape)
     return grad.sum(axis=0).reshape(shape)
 

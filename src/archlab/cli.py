@@ -3,6 +3,9 @@ files; nothing is interactive. Each command but ``plot`` writes into an
 output directory, where :func:`main` adds a ``manifest.json`` with the keys
 ``command``, ``config``, ``seeds``, ``inputs``, ``outputs`` (the other files
 there), ``warnings`` (those shown), ``git_describe`` and ``duration_seconds``.
+``fit-linear`` and ``fit-deep`` add ``stop``: why the solver stopped
+(``"converged"`` or ``"iteration cap"``; ``"epochs done"``) and after how
+many iterations or epochs.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.
@@ -147,6 +150,8 @@ def cmd_fit_linear(args) -> dict:
     return {"config": {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
                        "rel_tol": cfg.rel_tol, "rss": model.rss,
                        "iterations": model.iterations, "converged": model.converged},
+            "stop": {"reason": "converged" if model.converged else "iteration cap",
+                     "iterations": model.iterations},
             "seeds": {"seed": cfg.seed}, "inputs": [args.data],
             "outputs": [out / "model.json", out / "rss_log.csv", scatter]}
 
@@ -185,6 +190,8 @@ def cmd_fit_deep(args) -> dict:
         outputs.append(out / "vertex_recovery.json")
     return {"config": {"arch": arch.to_dict(), "hyper": hyper.to_dict(),
                        "side_info": bool(args.side_info)},
+            # training runs every epoch or raises
+            "stop": {"reason": "epochs done", "epochs": hyper.epochs},
             "seeds": {"seed": hyper.seed}, "inputs": [args.data], "outputs": outputs}
 
 

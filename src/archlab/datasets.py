@@ -1,12 +1,13 @@
 """Synthetic benchmark construction and CSV/JSON artifact I/O.
 
-Datasets are written as plain CSV (comma separator, ``.`` decimal point,
-LF line endings) with a header row ``x0..x{p-1}[,label]``. Ground truth
-lives next to the data file ``<stem>.csv`` in the sidecar files
-``<stem>.atrue.csv`` (mixture weights A, header ``a0..a{k-1}``) and
-``<stem>.ztrue.csv`` (archetypes Z, the data's header), so ``archlab
-gen-data`` writes ``X.csv``, ``X.atrue.csv`` and ``X.ztrue.csv``. Numbers
-are serialized with 17 significant digits so round-trips are bit-exact.
+A dataset ``<stem>.csv`` is plain CSV (comma separator, ``.`` decimal
+point, LF line endings) with a header row ``x0..x{p-1}[,label]``. Its
+ground truth lives in the sidecar files ``<stem>.atrue.csv`` (mixture
+weights A, header ``a0..a{k-1}``) and ``<stem>.ztrue.csv`` (archetypes Z,
+the data's header). Numbers are written with 17 significant digits, so
+round-trips are bit-exact, and parsed by NumPy's reader: blank lines are
+skipped, and a quoted or underscored number (``"1"``, ``1_000``) or a ``#``
+comment is a ParseError. The header is read as CSV, so quoted names work.
 
 Every JSON file is read by :func:`read_json` and written by
 :func:`write_json`. Each model class owns its JSON form (``to_dict`` and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -40,6 +42,7 @@ from .errors import (
 from .numerics import rng_create, rng_dirichlet_matrix, simplex_vertices
 
 SCHEMA_VERSION = 1
+CSV_CHUNK_ROWS = 4096  # rows formatted per write, about 1 MB of text at p = 9
 
 # spread of the latent archetype polytope before embedding; large enough
 # that the exp warp bends the manifold visibly but stays well-conditioned
@@ -221,60 +224,61 @@ def make_side_info(ds: Dataset, kind: str = "mixture_projection",
     return replace(ds, labels=labels)
 
 
-# ---------------------------------------------------------------------------
-# CSV serialization
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file + rename so failures never leave partial output."""
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, via a temp file +
+    rename so failures never leave partial output."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def matrix_to_csv(m: np.ndarray, header: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in np.atleast_2d(m):
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
 def write_matrix_csv(m: np.ndarray, header: list, path: str) -> None:
-    atomic_write_text(path, matrix_to_csv(m, header))
+    """Write ``m`` under ``header``, every number with 17 significant
+    digits; rows are formatted a chunk at a time, never as one string."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    m = np.atleast_2d(m)
+    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    atomic_write_text(path, itertools.chain([head.getvalue()], (
+        "".join([row % tuple(r) for r in m[i:i + CSV_CHUNK_ROWS].tolist()])
+        for i in range(0, len(m), CSV_CHUNK_ROWS))))
 
 
 def read_matrix_csv(path: str):
-    """Returns (matrix, header). Raises ParseError with a 1-based row number."""
+    """Returns (matrix, header). The header is read as CSV, so quoted names
+    work; the numbers are parsed by NumPy's reader, which skips blank lines.
+    Raises ParseError naming the 1-based file row of the first bad row."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            header = next(csv.reader(iter(fh.readline, "")), None)  # iterating disables tell()
+            if header is None:
+                raise ParseError(f"{path}: empty file, expected a header row")
+            width, start = len(header), fh.tell()
+            if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+                return np.zeros((0, width)), header  # no data rows
+            fh.seek(start)
+            try:
+                m = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+                if m.shape[1] == width:  # the reader takes rows of any one width
+                    return m, header
+            except ValueError:
+                pass
+            fh.seek(start)  # find the first bad row, one line at a time
+            for i, line in enumerate(fh, start=2):
+                try:
+                    bad = line.strip("\r\n") and np.loadtxt(
+                        [line], delimiter=",", comments=None).size != width
+                except ValueError:
+                    bad = True
+                if bad:
+                    raise ParseError(f"{path}: row {i}: not {width} numbers: {line.strip()!r}")
+            raise ParseError(f"{path}: cannot parse the data rows")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: empty file, expected a header row")
-    header = rows[0]
-    width = len(header)
-    data = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {i} has {len(row)} columns, expected {width}"
-            )
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i}: {exc}") from exc
-    m = np.array(data, dtype=np.float64) if data else np.zeros((0, width))
-    return m, header
 
 
 def _sidecar(path: str, tag: str) -> str:
@@ -307,8 +311,7 @@ def read_csv(path: str) -> Dataset:
     m, header = read_matrix_csv(path)
     labels = None
     if header and header[-1] == "label":
-        labels = m[:, -1] if m.size else np.zeros((m.shape[0],))
-        labels = np.ascontiguousarray(labels)
+        labels = np.ascontiguousarray(m[:, -1])
         m = m[:, :-1]
         header = header[:-1]
     a_true = z_true = None
@@ -320,9 +323,6 @@ def read_csv(path: str) -> Dataset:
     return Dataset(x=m, a_true=a_true, z_true=z_true, labels=labels,
                    columns=header)
 
-
-# ---------------------------------------------------------------------------
-# JSON files and model serialization
 
 def read_json(path: str, what: str) -> dict:
     """The JSON object held in ``path``; ``what`` names the file in errors."""

@@ -66,6 +66,13 @@ class TestArithmetic:
     def test_mul_python_scalar(self):
         check_grad(lambda a: ad.reduce_sum(a * 2.5 + 3.0 * a), (4,))
 
+    def test_mul_size_one_operand_of_any_rank(self):
+        a, b = ad.Node(np.ones((3, 4))), ad.Node([[2.0]])
+        ad.reduce_sum(a * b).backward()
+        np.testing.assert_array_equal(b.grad, [[12.0]])
+        np.testing.assert_array_equal(a.grad, np.full((3, 4), 2.0))
+        check_grad(lambda a, s: ad.reduce_sum(ad.square(a * s)), (3, 2), (1, 1, 1))
+
     def test_matmul(self):
         check_grad(lambda a, b: ad.reduce_sum(ad.square(a @ b)), (3, 4), (4, 2))
 

@@ -131,6 +131,16 @@ class TestFitLinear:
             runs.append(file_bytes(out, names))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("max_iters, reason", [(1, "iteration cap"), (500, "converged")])
+    def test_manifest_records_why_the_fit_stopped(self, tmp_path, max_iters, reason):
+        out = tmp_path / "fit"
+        assert run("fit-linear", "--data", gen_dataset(tmp_path), "--k", 3, "--out", out,
+                   "--max-iters", max_iters) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        model = datasets.read_model(str(out / "model.json"))
+        assert manifest["stop"] == {"reason": reason, "iterations": model.iterations}
+        assert model.converged == (reason == "converged")
+
     def test_non_finite_data_exits_numerical(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,x1\n1.0,2.0\nnan,0.5\n3.0,1.0\n")
@@ -176,6 +186,12 @@ class TestFitDeep:
         assert isinstance(model, deep_aa.DeepAaModel)
         report = json.loads((out / "vertex_recovery.json").read_text())
         assert "archetype_loss" in report
+
+    def test_manifest_records_epochs_run(self, tmp_path):
+        code, out = self.fit(tmp_path, gen_dataset(tmp_path))
+        assert code == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop"] == {"reason": "epochs done", "epochs": 2}
 
     def test_k_ten_writes_vertex_recovery(self, tmp_path):
         data = gen_dataset(tmp_path, p=10, k=10)
@@ -511,7 +527,8 @@ def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
     out = tmp_path / "o"
     assert run(*(a.format(**fitted) for a in argv), "--out", out) == cli.EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == MANIFEST_KEYS
+    solver = argv[0] in ("fit-linear", "fit-deep")
+    assert set(manifest) == MANIFEST_KEYS | ({"stop"} if solver else set())
     assert manifest["command"] == argv[0]
     assert manifest["inputs"] == [argv[2].format(**fitted)]
     assert manifest["warnings"] == []

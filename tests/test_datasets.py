@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -268,6 +269,89 @@ class TestCsvRoundTrip:
         path.write_text("x0\n1.0\nbanana\n")
         with pytest.raises(ParseError, match="row 3"):
             datasets.read_matrix_csv(str(path))
+
+    # a short and a non-numeric row with no blank line before them are the
+    # two tests above
+    @pytest.mark.parametrize("body, row", [
+        ("1.0,2.0\n\n3.0\n", 4),
+        ("1.0,2.0\n3.0,4.0,5.0\n", 3),
+        ("1.0,2.0\n\n\n3.0,4.0,5.0\n", 5),
+        ("1.0,2.0,3.0\n4.0,5.0,6.0\n", 2),  # every row wider than the header
+        ("\n1.0,2.0,3.0\n", 3),
+        ("1.0,2.0\n\n3.0,banana\n", 4),
+        ('1.0,2.0\n"3.0",4.0\n', 3),
+        ("1.0,2.0\n3_000,4.0\n", 3),
+        ("1.0,2.0 # note\n", 2),
+    ], ids=["short-after-blank", "wide", "wide-after-blanks", "all-wide",
+            "all-wide-after-blank", "non-numeric-after-blank", "quoted-number",
+            "underscore-number", "comment"])
+    def test_parse_error_names_file_row(self, tmp_path, body, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1\n" + body)
+        with pytest.raises(ParseError, match=f"row {row}:"):
+            datasets.read_matrix_csv(str(path))
+
+    def test_crlf_file_parses(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"x0,x1\r\n1.5,-2\r\n3,4e-3\r\n")
+        m, header = datasets.read_matrix_csv(str(path))
+        np.testing.assert_array_equal(m, [[1.5, -2.0], [3.0, 4e-3]])
+        assert header == ["x0", "x1"]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x0,x1\n\n1,2\n\n3,4\n\n")
+        m, _ = datasets.read_matrix_csv(str(path))
+        np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["x0,x1\n", "x0,x1", "x0,x1\n\n\r\n"],
+                             ids=["header-only", "no-newline", "blank-lines"])
+    def test_header_without_rows_loads_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, header = datasets.read_matrix_csv(str(path))
+        assert m.shape == (0, 2) and m.dtype == np.float64
+        assert header == ["x0", "x1"]
+
+    def test_written_bytes(self, tmp_path):
+        m = np.array([[-0.0, np.nan, np.inf, -np.inf],
+                      [5e-324, 1.0 / 3.0, 1e16, 1.0],
+                      [0.1, -2.5, 1e-300, 123456789.0]])
+        path = tmp_path / "golden.csv"
+        datasets.write_matrix_csv(m, ["x0", "mass, g", "x2", "label"], str(path))
+        assert path.read_bytes() == (
+            b'x0,"mass, g",x2,label\n'
+            b"-0,nan,inf,-inf\n"
+            b"4.9406564584124654e-324,0.33333333333333331,10000000000000000,1\n"
+            b"0.10000000000000001,-2.5,1e-300,123456789\n")
+        back, header = datasets.read_matrix_csv(str(path))
+        assert header == ["x0", "mass, g", "x2", "label"]
+        np.testing.assert_array_equal(back, m)
+        assert np.signbit(back[0, 0])
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_written_text_is_17_digits_of_every_bit_pattern(self, rows, cols, data):
+        import tempfile
+
+        bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows * cols,
+                                  max_size=rows * cols))
+        m = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+        header = [f"x{j}" for j in range(cols)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/m.csv"
+            datasets.write_matrix_csv(m, header, path)
+            with open(path, newline="") as fh:
+                text = fh.read()
+            back, _ = datasets.read_matrix_csv(path)
+        assert text == ",".join(header) + "\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in m.tolist())
+        # every number but NaN (whose payload the text drops) reads back bit for bit
+        keep = ~np.isnan(m)
+        assert np.array_equal(back.view(np.uint64)[keep], m.view(np.uint64)[keep])
+        assert np.isnan(back[~keep]).all()
 
     def test_missing_file(self, tmp_path):
         from archlab.errors import IoError
