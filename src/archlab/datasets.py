@@ -17,6 +17,7 @@ schema version and the model kind.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -226,14 +227,18 @@ def make_side_info(ds: Dataset, kind: str = "mixture_projection",
 
 def atomic_write_text(path: str, text) -> None:
     """Write ``text``, a string or an iterable of strings, via a temp file +
-    rename so failures never leave partial output."""
+    rename so failures never leave partial output, nor the temp file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def write_matrix_csv(m: np.ndarray, header: list, path: str) -> None:

@@ -3,10 +3,10 @@
 The solver alternates between the two weight blocks. Both are made of
 least-squares problems on the unit simplex, and one routine, ``_fw_rows``,
 takes a few pairwise Frank-Wolfe steps with exact line search on all of
-them, in the image space of its dictionary, so no n x n matrix is formed.
-With B (hence the archetypes Z = B X) fixed, every row of A is an
-independent problem over the dictionary Z. With A fixed, the rows of B are
-updated one after another (Gauss-Seidel), each over the dictionary X.
+them; no n x n matrix is formed. With B (hence the archetypes Z = B X)
+fixed, every row of A is an independent problem over the dictionary Z, and
+the A-step runs in Gram form, on Z Z' and X Z' only. With A fixed, the rows
+of B are updated one after another (Gauss-Seidel), each over the dictionary X.
 Each outer iteration then extrapolates (A, B) along its last step and keeps
 that point only if its RSS is lower (Ang & Gillis 2019); the factor beta
 grows from 1 by half per kept point, up to 4, and falls back to 1 when one
@@ -79,18 +79,28 @@ def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     """Pairwise Frank-Wolfe with exact line search on independent simplex
     rows: row i of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Each
     step moves weight from the support atom with the largest gradient to the
-    atom with the smallest (lowest index on ties), up to all of it."""
+    atom with the smallest (lowest index on ties), up to all of it. With no
+    more atoms than rows (the A-step, ``transform``) it runs in Gram form:
+    D D', T D' and a k x k table of ||d_j - d_a||^2 are formed once per call."""
     w = w.copy()
     # w[i, c] is flat[start[i] + c]: one flat index is faster than a pair
     flat, start = w.reshape(-1), np.arange(0, w.size, w.shape[1])
-    for _ in range(steps):
-        grad = (w @ dictionary - target) @ dictionary.T  # half the true gradient
+    gram_form = w.shape[1] <= len(w)
+    if gram_form:  # distances from differences: G_jj + G_aa - 2 G_ja cancels
+        diff = dictionary[:, None] - dictionary
+        gram, lin = dictionary @ dictionary.T, target @ dictionary.T
+        table = np.einsum("abp,abp->ab", diff, diff)
+    for _ in range(steps):  # grad is half the true gradient
+        grad = w @ gram - lin if gram_form else (w @ dictionary - target) @ dictionary.T
         j = np.argmin(grad, axis=1)
         a = np.argmax(np.where(w > 0.0, grad, -np.inf), axis=1)
         fj, fa = start + j, start + a
         slope = np.take(grad, fj) - np.take(grad, fa)
-        move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
-        curvature = np.einsum("ij,ij->i", move, move)
+        if gram_form:
+            curvature = np.take(table, j * len(table) + a)
+        else:
+            move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
+            curvature = np.einsum("ij,ij->i", move, move)
         cap = flat[fa]
         ratio = np.divide(-slope, curvature, out=cap.copy(), where=curvature > 0.0)
         gamma = np.where(slope < 0.0, np.minimum(cap, ratio), 0.0)
@@ -203,13 +213,13 @@ def transform(x, z) -> np.ndarray:
     """
     x = as_matrix(x, "X")
     z = as_matrix(z, "Z")
-    k = z.shape[0]
-    n = x.shape[0]
+    if x.shape[1] != z.shape[1]:
+        raise DimensionError(f"X has {x.shape[1]} columns but Z has {z.shape[1]}")
+    n, k = len(x), len(z)
     if k == 1:
         return np.ones((n, 1))
     if k > _ENUM_MAX_K:
-        a = np.full((n, k), 1.0 / k)
-        return _fw_rows(a, z, x, _TRANSFORM_FW_STEPS)
+        return _fw_rows(np.full((n, k), 1.0 / k), z, x, _TRANSFORM_FW_STEPS)
     gram = z @ z.T
     lin = x @ z.T  # (n, k)
     best_obj = np.full(n, np.inf)

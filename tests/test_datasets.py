@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from archlab import datasets, deep_aa, linear_aa, nn, numerics
 from archlab.datasets import Dataset, SyntheticSpec
 from archlab.errors import (
+    IoError,
     MissingGroundTruth,
     ParameterError,
     ParseError,
@@ -369,6 +370,23 @@ class TestCsvRoundTrip:
         with pytest.raises(IoError):
             datasets.atomic_write_text(str(target), "boom")
         assert target.is_dir()
+
+    @pytest.mark.parametrize("case", ["target is a directory", "unformattable row"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, case):
+        # the rename fails with an OSError; the row formatting fails with a
+        # TypeError in the second chunk, after the first is in the temp file
+        target = tmp_path / "out.csv"
+        if case == "target is a directory":
+            target.mkdir()
+            m, expected = np.ones((1, 1)), IoError
+        else:
+            m = np.ones((datasets.CSV_CHUNK_ROWS + 1, 1), dtype=object)
+            m[-1, 0], expected = "x", TypeError
+        with pytest.raises(expected):
+            datasets.write_matrix_csv(m, ["a"], str(target))
+        assert target.is_dir() == (case == "target is a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["out.csv"] if target.exists() else [])
 
 
 def deep_model_payload(edit):

@@ -169,6 +169,25 @@ class TestFwRowStep:
             oracle = pairwise_fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [3, 5, 14])
+    def test_gram_form_matches_residual_form(self, k):
+        # a batch of 200 rows has no more atoms than rows and steps in Gram
+        # form; one row alone has more atoms than rows and steps on its
+        # residual, as a B row does. One step from random weights, some of
+        # them zero, meets no ties; an exact line search leaves its pair's
+        # gradients tied, so later steps would break ties by rounding.
+        rng = rng_create(20 + k)
+        z = rng.standard_normal((k, 8))
+        a = numerics.rng_dirichlet_matrix(rng, np.ones(k), 200)
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[np.arange(200), rng.integers(k, size=200)] += 0.1
+        a /= a.sum(axis=1, keepdims=True)
+        x = rng.standard_normal((200, 8))
+        batched = linear_aa._fw_rows(a, z, x, 1)
+        for row, a_row, x_row in zip(batched, a, x):
+            alone = linear_aa._fw_rows(a_row[None], z, x_row[None], 1)[0]
+            np.testing.assert_allclose(row, alone, rtol=0.0, atol=1e-12)
+
 
 def simplex_projection(v):
     """Euclidean projection of the vector ``v`` onto the unit simplex
@@ -374,6 +393,12 @@ class TestTransform:
         assert np.max(gap / scale) <= 1.0
         w = numerics.rng_dirichlet_matrix(rng, np.full(k, 2.0), 50)
         np.testing.assert_allclose(linear_aa.transform(w @ z, z) @ z, w @ z, atol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 3, 14])
+    def test_column_mismatch_rejected(self, k):
+        # one archetype, the support enumeration and the Frank-Wolfe path
+        with pytest.raises(DimensionError, match="columns"):
+            linear_aa.transform(np.ones((5, 3)), np.ones((k, 4)))
 
 
 class TestProperties:
