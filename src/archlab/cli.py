@@ -31,7 +31,6 @@ from .errors import (
     ParameterError,
     build_config,
     check_keys,
-    check_value,
 )
 from .numerics import pca_fit, pca_project, rng_create
 from .svg import SvgChart
@@ -65,42 +64,26 @@ def _ensure_dir(path: str) -> Path:
     return p
 
 
-def _parse_weights(text: str, k: int) -> np.ndarray:
+def _parse_weights(text: str) -> np.ndarray:
+    """Comma-separated mixture weights; deep_aa checks their count and sum."""
     try:
-        w = np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ParameterError(f"cannot parse weights '{text}': {exc}") from exc
-    if w.size != k:
-        raise ParameterError(f"expected {k} weights, got {w.size}")
-    return w
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
-def _side_info_args(side_info) -> dict:
-    """The make_side_info arguments a spec's ``side_info`` object gives."""
-    check_keys(side_info, ("kind", "j", "w"), "field 'side_info'")
-    kind = side_info.get("kind", "mixture_projection")
-    j = side_info.get("j", 0)
-    w = side_info.get("w")
-    check_value("side_info.kind", kind, str)
-    check_value("side_info.j", j, int)
-    if w is not None and not isinstance(w, list):
-        raise ParameterError(f"field 'side_info.w' must be a list of numbers, got {w!r}")
-    for v in w or ():
-        check_value("side_info.w", v, float)
-    return {"kind": kind, "j": j, "w": w}
-
-
 def cmd_gen_data(args) -> dict:
     spec_dict = datasets.read_json(args.spec, "spec")
     side_info = spec_dict.pop("side_info", None)
-    side_args = None if side_info is None else _side_info_args(side_info)
+    if side_info is not None:
+        check_keys(side_info, ("kind", "j", "w"), "field 'side_info'")
     spec = datasets.SyntheticSpec.from_dict(spec_dict)
     ds = datasets.make_synthetic(spec)
-    if side_args is not None:
-        ds = datasets.make_side_info(ds, **side_args)
+    if side_info is not None:
+        ds = datasets.make_side_info(ds, **side_info)
     out = _ensure_dir(args.out)
     outputs = datasets.write_csv(ds, str(out / "X.csv"))
     config = spec.to_dict()
@@ -224,9 +207,8 @@ def _read_deep_model(args) -> deep_aa.DeepAaModel:
 
 def cmd_interpolate(args) -> dict:
     model = _read_deep_model(args)
-    k = model.arch.k
-    a_start = _parse_weights(getattr(args, "from"), k)
-    a_end = _parse_weights(args.to, k)
+    a_start = _parse_weights(getattr(args, "from"))
+    a_end = _parse_weights(args.to)
     decoded = deep_aa.interpolate(model, a_start, a_end, args.steps)
     out = _ensure_dir(args.out)
     datasets.write_matrix_csv(
@@ -240,9 +222,9 @@ def cmd_interpolate(args) -> dict:
 
 def cmd_sample(args) -> dict:
     model = _read_deep_model(args)
-    weights = _parse_weights(args.weights, model.arch.k)
+    weights = _parse_weights(args.weights)
     rng = rng_create(args.seed) if args.noise else None
-    row, y_hat = deep_aa.generate(model, weights, rng=rng, use_noise=args.noise)
+    row, y_hat = deep_aa.generate(model, weights, rng=rng)
     out = _ensure_dir(args.out)
     body = row[None, :]
     header = [f"x{j}" for j in range(row.size)]

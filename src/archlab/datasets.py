@@ -32,6 +32,7 @@ from . import deep_aa, linear_aa
 from .errors import (
     IoError,
     MissingGroundTruth,
+    NumericalError,
     ParameterError,
     ParseError,
     SchemaVersionError,
@@ -39,6 +40,7 @@ from .errors import (
     build_config,
     check_fields,
     check_keys,
+    check_value,
 )
 from .numerics import rng_create, rng_dirichlet_matrix, simplex_vertices
 
@@ -207,7 +209,14 @@ def make_synthetic(spec: SyntheticSpec) -> Dataset:
 
 def make_side_info(ds: Dataset, kind: str = "mixture_projection",
                    j: int = 0, w=None) -> Dataset:
-    """Attach scalar labels derived from the true mixture weights."""
+    """Attach scalar labels derived from the true mixture weights; the
+    arguments are the fields of a gen-data spec's ``side_info`` object."""
+    check_value("side_info.kind", kind, str)
+    check_value("side_info.j", j, int)
+    if w is not None and not isinstance(w, (list, tuple, np.ndarray)):
+        raise ParameterError(f"field 'side_info.w' must be a list of numbers, got {w!r}")
+    for v in () if w is None else w:
+        check_value("side_info.w", v, float)
     if ds.a_true is None:
         raise MissingGroundTruth("side information needs A_true")
     k = ds.a_true.shape[1]
@@ -374,5 +383,5 @@ def read_model(path: str):
         return _MODEL_KINDS[kind].from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path}: {kind} model is missing key {exc}") from exc
-    except (TypeError, ValueError, ParameterError, ShapeError) as exc:
+    except (TypeError, ValueError, ParameterError, ShapeError, NumericalError) as exc:
         raise ParseError(f"{path}: malformed {kind} model: {exc}") from exc

@@ -32,8 +32,8 @@ from . import autodiff as ad
 from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
                      build_config, check_fields)
 from .nn import Adam, Mlp
-from .numerics import (SimplexFrame, best_assignment, match_rows, rng_create,
-                       simplex_vertices)
+from .numerics import (SimplexFrame, as_matrix, best_assignment, check_finite, match_rows,
+                       rng_create, simplex_vertices)
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -174,18 +174,13 @@ class DeepAaModel:
         x = ad.constant(x_batch)
         a, b, logvar, mu = self._encode_nodes(x)
 
-        kl = (0.5 / m) * ad.reduce_sum(
-            ad.exp(logvar) + ad.square(mu) - 1.0 - logvar
-        )
-
-        t = mu + ad.exp(logvar * 0.5) * ad.constant(noise)
+        kl = _kl(mu, logvar)
+        t = _sample(mu, logvar, ad.constant(noise))
         x_hat = self.decoder.forward(t)
         # noise_var is a constant of the graph: no gradient flows into it
         precision = ad.constant((1.0 / self.noise_var)[:, None])
         recon = (0.5 / m) * ad.reduce_sum(ad.square(x - x_hat) @ precision)
-
-        v = ad.constant(self.frame.vertices)
-        at = ad.reduce_sum(ad.square(v - (b @ a) @ v))
+        at = _archetype(a, b, ad.constant(self.frame.vertices))
 
         parts = {"recon": recon, "kl": kl, "at": at}
         total = kl + lam * recon + self.at_weight * at
@@ -204,17 +199,13 @@ class DeepAaModel:
 
     def encode(self, x_batch):
         """Forward pass; returns (A, B, logvar, mu) as plain arrays."""
-        x_batch = _check_batch(x_batch, self.arch.input_dim)
+        x_batch = as_matrix(_check_width(x_batch, self.arch.input_dim, "batch"), "batch")
         a, b, logvar, mu = self._encode_nodes(ad.constant(x_batch))
         return a.value, b.value, logvar.value, mu.value
 
     def decode(self, t):
         """Decode latent points; returns (X_hat, y_hat-or-None)."""
-        t = np.atleast_2d(np.asarray(t, float))
-        if t.shape[1] != self.arch.latent_dim:
-            raise ShapeError(
-                f"latent points must have dim {self.arch.latent_dim}, got {t.shape[1]}"
-            )
+        t = _check_width(t, self.arch.latent_dim, "latent points")
         x_hat = self.decoder.forward(ad.constant(t)).value
         y_hat = None
         if self.side_head is not None:
@@ -270,44 +261,54 @@ def _saved_array(value, shape: tuple, name: str) -> np.ndarray:
     value = np.array(value, float)
     if value.shape != shape:
         raise ShapeError(f"{name} has shape {value.shape}, the arch builds {shape}")
-    return value
+    return check_finite(value, name)
 
 
-def _check_batch(x, p: int) -> np.ndarray:
+def _check_width(x, p: int, what: str) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != p:
-        raise ShapeError(f"batch must have {p} columns, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("batch contains non-finite values")
+        raise ShapeError(f"{what} must have {p} columns, got {x.shape[1]}")
     return x
 
 
 # ---------------------------------------------------------------------------
-# Standalone loss pieces (shared by tests and training)
+# The objective's terms, each built once as a graph: _objective composes them,
+# and kl_term, reparameterize and archetype_loss evaluate them on arrays
+
+def _kl(mu: ad.Node, logvar: ad.Node) -> ad.Node:
+    return (0.5 / mu.shape[0]) * ad.reduce_sum(ad.exp(logvar) + ad.square(mu) - 1.0 - logvar)
+
+
+def _sample(mu: ad.Node, logvar: ad.Node, eps: ad.Node) -> ad.Node:
+    return mu + ad.exp(logvar * 0.5) * eps
+
+
+def _archetype(a: ad.Node, b: ad.Node, v: ad.Node) -> ad.Node:
+    return ad.reduce_sum(ad.square(v - (b @ a) @ v))
+
+
+def _latent_nodes(mu, logvar):
+    """``mu`` and ``logvar`` as 2-D constant nodes of one shape."""
+    mu, logvar = np.atleast_2d(mu), np.atleast_2d(logvar)
+    if mu.shape != logvar.shape:
+        raise ShapeError("mu and logvar must have the same shape")
+    return ad.constant(mu), ad.constant(logvar)
+
 
 def archetype_loss(a: np.ndarray, b: np.ndarray, frame: SimplexFrame) -> float:
     """||V - B A V||_F^2 for the fixed vertex matrix V."""
-    v = frame.vertices
-    return float(np.sum((v - b @ a @ v) ** 2))
+    return float(_archetype(ad.constant(a), ad.constant(b), ad.constant(frame.vertices)).value)
 
 
 def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
     """Mean (over rows) KL(N(mu_i, diag(exp(logvar_i))) || N(0, I))."""
-    mu = np.atleast_2d(np.asarray(mu, float))
-    logvar = np.atleast_2d(np.asarray(logvar, float))
-    if mu.shape != logvar.shape:
-        raise ShapeError("mu and logvar must have the same shape")
-    per_row = 0.5 * np.sum(np.exp(logvar) + mu**2 - 1.0 - logvar, axis=1)
-    return float(per_row.mean())
+    return float(_kl(*_latent_nodes(mu, logvar)).value)
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng) -> np.ndarray:
     """t = mu + exp(logvar / 2) * eps with eps ~ N(0, I)."""
-    mu = np.atleast_2d(np.asarray(mu, float))
-    logvar = np.atleast_2d(np.asarray(logvar, float))
-    if mu.shape != logvar.shape:
-        raise ShapeError("mu and logvar must have the same shape")
-    return mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
+    mu, logvar = _latent_nodes(mu, logvar)
+    return _sample(mu, logvar, ad.constant(rng.standard_normal(mu.shape))).value
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +370,14 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             batch_var = np.mean((xb - x_hat) ** 2, axis=0)
             model.noise_var = np.maximum(
                 (1.0 - rate) * model.noise_var + rate * batch_var, NOISE_VAR_MIN)
-            model.history.append([
-                step, float(total.value), float(parts["recon"].value),
-                float(parts["kl"].value), float(parts["at"].value),
-                float(parts["side"].value) if "side" in parts else 0.0,
-                lam,
-            ])
+            terms = [float(parts[name].value) if name in parts else 0.0
+                     for name in HISTORY_COLUMNS[2:-1]]  # recon, kl, at, side
+            model.history.append([step, float(total.value), *terms, lam])
             step += 1
     _, _, logvar, _ = model.encode(x)
     model.median_logvar = np.median(logvar, axis=0)
     model.trained = True
     return model
-
-
-def final_archetype_loss(model: DeepAaModel, x) -> float:
-    """Archetype loss of a full forward pass over the given rows."""
-    a, b, _, _ = model.encode(x)
-    return archetype_loss(a, b, model.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +392,15 @@ def _check_weights(a, k: int) -> np.ndarray:
     return np.clip(a, 0.0, None)
 
 
-def generate(model: DeepAaModel, a, rng=None, use_noise: bool = False):
+def generate(model: DeepAaModel, a, rng=None):
     """Decode the latent point given by mixture weights ``a``.
 
-    With ``use_noise`` the latent point is perturbed with the training-set
-    median log-variance (there is no encoder input to supply one).
+    Given an ``rng``, the latent point is first sampled by :func:`reparameterize`
+    with the training-set median log-variance (no encoder input gives one).
     """
     a = _check_weights(a, model.arch.k)
     t = a @ model.frame.vertices
-    if use_noise:
-        rng = rng if rng is not None else rng_create(0)
+    if rng is not None:
         t = reparameterize(t, model.median_logvar, rng)[0]
     x_hat, y_hat = model.decode(t)
     return x_hat[0], (None if y_hat is None else float(y_hat[0]))
@@ -439,6 +430,7 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
         for j in range(k)
     ])
     _, _, _, mu = model.encode(dataset.x[nearest])
+    a, b, _, _ = model.encode(dataset.x)
     dist = np.linalg.norm(mu[:, None, :] - model.frame.vertices[None, :, :], axis=2)
     vertex_perm = best_assignment(dist)
     mu_vertex_dist = [float(dist[j, vertex_perm[j]]) for j in range(k)]
@@ -449,7 +441,7 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
     ])
     gen_perm, gen_errors = match_rows(generated, z_true)
     return {
-        "archetype_loss": final_archetype_loss(model, dataset.x),
+        "archetype_loss": archetype_loss(a, b, model.frame),
         "nearest_row_indices": [int(i) for i in nearest],
         "vertex_assignment": [int(v) for v in vertex_perm],
         "mu_vertex_distances": mu_vertex_dist,

@@ -110,13 +110,11 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
         curve.losses.append(loss)
         if stop is not None:
             curve.stops[k] = stop
-    usable = [(k, l) for k, l in zip(ks, curve.losses) if l is not None]
+    usable = curve_rows(curve)
     if len(usable) == 1:
         curve.chosen_k = usable[0][0]
     elif len(usable) >= 3:
-        curve.chosen_k = detect_elbow(
-            SelectionCurve(ks=[k for k, _ in usable],
-                           losses=[l for _, l in usable]))
+        curve.chosen_k = detect_elbow(curve)
     return curve
 
 

@@ -217,6 +217,17 @@ class TestSideInfo:
         with pytest.raises(ParameterError):
             datasets.make_side_info(self._ds(), "nope")
 
+    @pytest.mark.parametrize("args, field", [
+        ({"kind": 1}, "side_info.kind"),
+        ({"j": 1.5}, "side_info.j"),
+        ({"j": True}, "side_info.j"),
+        ({"kind": "linear_combo", "w": "x"}, "side_info.w"),
+        ({"kind": "linear_combo", "w": [1, "x", 0]}, "side_info.w"),
+    ])
+    def test_mistyped_args_name_their_field(self, args, field):
+        with pytest.raises(ParameterError, match=re.escape(f"field '{field}'")):
+            datasets.make_side_info(self._ds(), **args)
+
 
 class TestCsvRoundTrip:
     def test_dataset_round_trip_bit_exact(self, tmp_path):
@@ -399,12 +410,15 @@ def deep_model_payload(edit):
 
 
 # edits after which a deep model file no longer fits the networks its arch
-# builds; each has to fail loading rather than leave random or broadcast weights
+# builds, or holds a number no trained model has; each has to fail loading
+# rather than leave random, broadcast or non-finite weights
 MISFIT_DEEP_MODELS = {
     "truncated-decoder": lambda d: d["decoder"]["weights"].pop(),
     "broadcastable-weight": lambda d: d["decoder"]["weights"][0].pop(),  # (2, 8) -> (1, 8)
     "decoder-too-wide": lambda d: d.update(decoder=nn.Mlp([2, 8, 5]).state()),
     "side-head-not-in-arch": lambda d: d.update(side_head=nn.Mlp([2, 4, 1]).state()),
+    "nan-decoder-weight": lambda d: d["decoder"]["weights"][0][0].__setitem__(0, float("nan")),
+    "inf-median-logvar": lambda d: d.update(median_logvar=[float("inf"), 0.0]),
 }
 
 

@@ -216,6 +216,18 @@ class TestLoss:
             parts["kl"] + parts["recon"] + parts["at"] + parts["side"], abs=1e-12
         )
 
+    def test_public_terms_equal_training_terms(self):
+        # kl_term and archetype_loss evaluate the training graph's own terms,
+        # so they agree with it exactly, not only to rounding
+        model = tiny_model()
+        rng = rng_create(12)
+        for _ in range(20):
+            x = rng.standard_normal((int(rng.integers(2, 9)), 4))
+            _, parts = loss_values(model, x, seed=int(rng.integers(100)))
+            a, b, logvar, mu = model.encode(x)
+            assert deep_aa.kl_term(mu, logvar) == parts["kl"]
+            assert deep_aa.archetype_loss(a, b, model.frame) == parts["at"]
+
 
 def worst_gradient_error(model, x, y, lam, noise, h=1e-5):
     """c04's check: zero each parameter's gradient, backpropagate the loss
@@ -416,8 +428,8 @@ class TestGenerateInterpolate:
     def test_generate_noise_deterministic_given_rng(self):
         model = self._trained()
         a = np.array([0.2, 0.3, 0.5])
-        o1, _ = deep_aa.generate(model, a, rng=rng_create(3), use_noise=True)
-        o2, _ = deep_aa.generate(model, a, rng=rng_create(3), use_noise=True)
+        o1, _ = deep_aa.generate(model, a, rng=rng_create(3))
+        o2, _ = deep_aa.generate(model, a, rng=rng_create(3))
         np.testing.assert_array_equal(o1, o2)
         o3, _ = deep_aa.generate(model, a)
         assert not np.array_equal(o1, o3)
