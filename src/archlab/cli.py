@@ -5,7 +5,8 @@ output directory, where :func:`main` adds a ``manifest.json`` with the keys
 there), ``warnings`` (those shown), ``git_describe`` and ``duration_seconds``.
 ``fit-linear`` and ``fit-deep`` add ``stop``: why the solver stopped
 (``"converged"`` or ``"iteration cap"``; ``"epochs done"``) and after how
-many iterations or epochs.
+many iterations or epochs; a linear ``sweep`` records the same ``stop`` for
+each k in ``config.stops``. JSON files are compact, with sorted keys.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.
@@ -133,8 +134,7 @@ def cmd_fit_linear(args) -> dict:
     return {"config": {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
                        "rel_tol": cfg.rel_tol, "rss": model.rss,
                        "iterations": model.iterations, "converged": model.converged},
-            "stop": {"reason": "converged" if model.converged else "iteration cap",
-                     "iterations": model.iterations},
+            "stop": model.stop,
             "seeds": {"seed": cfg.seed}, "inputs": [args.data],
             "outputs": [out / "model.json", out / "rss_log.csv", scatter]}
 

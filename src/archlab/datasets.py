@@ -217,6 +217,8 @@ def make_side_info(ds: Dataset, kind: str = "mixture_projection",
         raise ParameterError(f"field 'side_info.w' must be a list of numbers, got {w!r}")
     for v in () if w is None else w:
         check_value("side_info.w", v, float)
+        if not math.isfinite(v):
+            raise ParameterError(f"field 'side_info.w' must hold finite numbers, got {w!r}")
     if ds.a_true is None:
         raise MissingGroundTruth("side information needs A_true")
     k = ds.a_true.shape[1]
@@ -354,7 +356,8 @@ def read_json(path: str, what: str) -> dict:
 
 
 def write_json(value, path: str) -> None:
-    atomic_write_text(path, json.dumps(value, indent=1, sort_keys=True) + "\n")
+    """Compact JSON with sorted keys: without ``indent``, ``json`` encodes in C."""
+    atomic_write_text(path, json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 _MODEL_KINDS = {"linear_aa": linear_aa.LinearAaModel, "deep_aa": deep_aa.DeepAaModel}

@@ -40,6 +40,8 @@ LOGVAR_MAX = 10.0
 # floor for the fitted decoder noise variance, so a coordinate the decoder
 # reproduces exactly cannot get an unbounded weight
 NOISE_VAR_MIN = 1e-6
+# rows per encoder graph in encode(); a (4096, 64) layer output takes 2 MB
+ENCODE_CHUNK_ROWS = 4096
 
 HISTORY_COLUMNS = ["step", "total", "recon", "kl", "at", "side", "lambda"]
 
@@ -152,13 +154,19 @@ class DeepAaModel:
 
     # -- graph builders ----------------------------------------------------
 
-    def _encode_nodes(self, x: ad.Node):
+    def _heads(self, x: ad.Node):
+        """(A, B-head logits, logvar, mu); row i of each depends on row i of
+        ``x`` alone."""
         h = self.trunk.forward(x)
         a = ad.row_softmax(self.a_head.forward(h))
-        b = ad.row_softmax(ad.transpose(self.b_head.forward(h)))
+        b_logits = self.b_head.forward(h)
         logvar = ad.clamp(self.logvar_head.forward(h), LOGVAR_MIN, LOGVAR_MAX)
         mu = a @ ad.constant(self.frame.vertices)
-        return a, b, logvar, mu
+        return a, b_logits, logvar, mu
+
+    def _encode_nodes(self, x: ad.Node):
+        a, b_logits, logvar, mu = self._heads(x)
+        return a, _batch_softmax(b_logits), logvar, mu
 
     def _loss_nodes(self, x_batch: np.ndarray, y_batch, lam: float,
                     noise: np.ndarray):
@@ -198,10 +206,16 @@ class DeepAaModel:
     # -- public operations ---------------------------------------------------
 
     def encode(self, x_batch):
-        """Forward pass; returns (A, B, logvar, mu) as plain arrays."""
+        """Forward pass; returns (A, B, logvar, mu) as plain arrays. The heads
+        run on ENCODE_CHUNK_ROWS rows at a time, so the graph held at once
+        does not grow with the row count; B's softmax over the batch axis is
+        then taken once, over every row."""
         x_batch = as_matrix(_check_width(x_batch, self.arch.input_dim, "batch"), "batch")
-        a, b, logvar, mu = self._encode_nodes(ad.constant(x_batch))
-        return a.value, b.value, logvar.value, mu.value
+        step = ENCODE_CHUNK_ROWS
+        chunks = [[node.value for node in self._heads(ad.constant(x_batch[i:i + step]))]
+                  for i in range(0, len(x_batch), step)]
+        a, b_logits, logvar, mu = (np.concatenate(parts) for parts in zip(*chunks))
+        return a, _batch_softmax(ad.constant(b_logits)).value, logvar, mu
 
     def decode(self, t):
         """Decode latent points; returns (X_hat, y_hat-or-None)."""
@@ -255,6 +269,11 @@ class DeepAaModel:
         model.history = list(d.get("history", []))
         model.trained = bool(d.get("trained", False))
         return model
+
+
+def _batch_softmax(b_logits: ad.Node) -> ad.Node:
+    """B (k x batch): each archetype's weights over the batch's rows."""
+    return ad.row_softmax(ad.transpose(b_logits))
 
 
 def _saved_array(value, shape: tuple, name: str) -> np.ndarray:

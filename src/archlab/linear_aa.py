@@ -61,10 +61,17 @@ class LinearAaModel:
             "rss_history": list(map(float, self.rss_history)),
         }
 
+    @property
+    def stop(self) -> dict:
+        """Why and after how many outer iterations the fit stopped."""
+        return {"reason": "converged" if self.converged else "iteration cap",
+                "iterations": self.iterations}
+
     @staticmethod
     def from_dict(d: dict) -> "LinearAaModel":
-        """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p)."""
-        a, b, z = (np.array(d[name], float) for name in ("a", "b", "z"))
+        """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p), and
+        NumericalError if any of them holds a non-finite number."""
+        a, b, z = (check_finite(np.array(d[name], float), name.upper()) for name in "abz")
         if a.ndim != 2 or b.shape != a.shape[::-1] or z.ndim != 2 or len(z) != a.shape[1]:
             raise ShapeError(f"A {a.shape}, B {b.shape} and Z {z.shape} do not fit together")
         return LinearAaModel(

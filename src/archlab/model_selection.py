@@ -20,7 +20,7 @@ class SelectionCurve:
     losses: list  # test reconstruction MSE per k; None marks a failed fit
     chosen_k: int | None = None
     failures: dict = field(default_factory=dict)  # k -> why its fit failed
-    # k -> {"iterations", "converged"}: how each linear fit stopped
+    # k -> LinearAaModel.stop: how each linear fit stopped
     stops: dict = field(default_factory=dict)
 
 
@@ -56,8 +56,7 @@ def _linear_test_mse(dataset, k, cfg, seed):
     model = linear_aa.fit_linear_aa(dataset.x[train_idx], cfg)
     x_test = dataset.x[test_idx]
     a_test = linear_aa.transform(x_test, model.z)
-    stop = {"iterations": model.iterations, "converged": model.converged}
-    return float(np.mean((x_test - a_test @ model.z) ** 2)), stop
+    return float(np.mean((x_test - a_test @ model.z) ** 2)), model.stop
 
 
 def _deep_test_mse(dataset, k, cfg, seed):

@@ -85,6 +85,14 @@ class TestGenData:
         assert code == cli.EXIT_CONFIG
         assert "warp_dim" in capsys.readouterr().err
 
+    def test_non_finite_side_info_weight_exits_config(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, side_info={"kind": "linear_combo",
+                                               "w": [1, float("nan"), 0]})
+        code = run("gen-data", "--spec", spec, "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "side_info.w" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "X.csv").exists()
+
     def test_missing_spec_exits_io(self, tmp_path):
         code = run("gen-data", "--spec", tmp_path / "nope.json",
                    "--out", tmp_path / "o")
@@ -119,6 +127,17 @@ class TestFitLinear:
         scatter, header = datasets.read_matrix_csv(str(out / "pca_scatter.csv"))
         assert header[-1] == "tag"
         assert int(scatter[:, -1].sum()) == 3  # archetype rows tagged 1
+
+    def test_model_file_holds_the_dense_fit(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "fit"
+        assert run("fit-linear", "--data", data, "--k", 3, "--out", out,
+                   "--seed", 0) == cli.EXIT_OK
+        model = linear_aa.fit_linear_aa(datasets.read_csv(str(data / "X.csv")).x,
+                                        linear_aa.LinearAaConfig(k=3, seed=0))
+        saved = json.loads((out / "model.json").read_text())
+        for key in ("a", "b", "z", "rss", "rss_history"):
+            assert saved[key] == model.to_dict()[key]
 
     def test_rerun_byte_identical(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -300,8 +319,9 @@ class TestSweep:
         stops = json.loads((out / "manifest.json").read_text())["config"]["stops"]
         assert sorted(stops) == ["1", "2", "3"]
         for stop in stops.values():
-            assert sorted(stop) == ["converged", "iterations"]
-            assert isinstance(stop["converged"], bool) and stop["iterations"] >= 1
+            assert sorted(stop) == ["iterations", "reason"]
+            assert stop["reason"] in ("converged", "iteration cap")
+            assert stop["iterations"] >= 1
 
 
 class TestInterpolateAndSample:

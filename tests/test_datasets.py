@@ -223,6 +223,8 @@ class TestSideInfo:
         ({"j": True}, "side_info.j"),
         ({"kind": "linear_combo", "w": "x"}, "side_info.w"),
         ({"kind": "linear_combo", "w": [1, "x", 0]}, "side_info.w"),
+        ({"kind": "linear_combo", "w": [1, float("nan"), 0]}, "side_info.w"),
+        ({"kind": "linear_combo", "w": [1, 0, float("-inf")]}, "side_info.w"),
     ])
     def test_mistyped_args_name_their_field(self, args, field):
         with pytest.raises(ParameterError, match=re.escape(f"field '{field}'")):
@@ -484,8 +486,13 @@ class TestModelRoundTrip:
         ' "converged": true}',
         json.dumps(deep_model_payload(lambda d: d["arch"].pop("k"))),
         *(json.dumps(deep_model_payload(edit)) for edit in MISFIT_DEEP_MODELS.values()),
+        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[1]],'
+        ' "z": [[NaN]], "rss": 0, "iterations": 1, "converged": true}',
+        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[Infinity]],'
+        ' "z": [[1]], "rss": 0, "iterations": 1, "converged": true}',
     ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state",
-            "misfit-linear-shapes", "arch-without-k", *MISFIT_DEEP_MODELS])
+            "misfit-linear-shapes", "arch-without-k", *MISFIT_DEEP_MODELS,
+            "nan-linear-z", "inf-linear-b"])
     def test_malformed_model_names_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)

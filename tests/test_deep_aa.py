@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from archlab import autodiff as ad
 from archlab import deep_aa
 from archlab.datasets import Dataset
 from archlab.deep_aa import DeepAaArch, DeepAaHyper, DeepAaModel
@@ -109,6 +112,32 @@ class TestEncode:
     def test_rejects_wrong_width(self):
         with pytest.raises(ShapeError):
             tiny_model().encode(np.zeros((3, 5)))
+
+    def test_chunked_encode_matches_one_graph(self):
+        n = 3 * deep_aa.ENCODE_CHUNK_ROWS + 17  # three full chunks and a part
+        model = DeepAaModel(DeepAaArch(input_dim=4, k=3), seed=1)
+        x = rng_create(3).standard_normal((n, 4))
+        got = model.encode(x)
+        want = [node.value for node in model._encode_nodes(ad.constant(x))]
+        for g, w in zip(got, want):
+            # BLAS may round a chunk's narrow head products apart from the
+            # whole matrix's; near-zero entries are held to the array's scale
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+        b = got[1]
+        assert b.shape == (3, n)
+        np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_encode_memory_does_not_grow_with_rows(self):
+        model = DeepAaModel(DeepAaArch(input_dim=9, k=3), seed=0)
+        x = rng_create(4).standard_normal((40_000, 9))
+        tracemalloc.start()
+        try:
+            model.encode(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one graph over all 40 000 rows peaks near 88 MB; the outputs take 3.2 MB
+        assert peak < 40e6
 
 
 class TestArchetypeLoss:

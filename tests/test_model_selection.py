@@ -82,10 +82,11 @@ class TestSweep:
         ds = convex_dataset(n=120)
         capped = model_selection.sweep(ds, [2, 3], fit="linear",
                                        cfg={"max_outer_iters": 1, "rel_tol": 1e-12})
-        assert capped.stops == {2: {"iterations": 1, "converged": False},
-                                3: {"iterations": 1, "converged": False}}
+        assert capped.stops == {2: {"reason": "iteration cap", "iterations": 1},
+                                3: {"reason": "iteration cap", "iterations": 1}}
         free = model_selection.sweep(ds, [2, 3], fit="linear")
-        assert all(s["converged"] and s["iterations"] > 1 for s in free.stops.values())
+        assert all(s["reason"] == "converged" and s["iterations"] > 1
+                   for s in free.stops.values())
 
     def test_non_archlab_errors_propagate(self, monkeypatch):
         def broken(*args):
