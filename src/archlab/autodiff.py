@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The op set is what the deep archetypal model needs: matmul and the fused
-layer ``affine`` (``x @ w + b``), add with row-bias broadcast, elementwise
-arithmetic, relu, tanh, exp, square, clamp, row softmax, transpose and sum.
-Each op builds ``Node(value, parents, grad_fns)``: ``grad_fns[i]`` maps the
-output's gradient to the gradient of ``parents[i]`` (before a broadcast
-parent's gradient is summed back to its shape). Graphs are built eagerly
-and each node takes the next creation index, so it comes after its
-parents. ``backward`` on a scalar node runs the ancestors that need a
+The op set: matmul and ``affine`` (a layer ``act(x @ w + b)`` as one node,
+for an ``act`` named in ``ACTIVATIONS``), add with row-bias broadcast,
+elementwise arithmetic, relu, tanh, exp, square, clamp, row softmax,
+transpose and sum. Each op builds ``Node(value, parents, vjp)``: ``vjp``
+maps the output's gradient to a gradient per parent, or None where a parent
+needs none (a broadcast parent's is summed back to its shape), so a fused
+op, such as each of the deep model's loss terms, computes shared factors
+once. Graphs are built eagerly and each node takes the next creation index,
+so it comes after its parents. ``backward`` on a scalar node runs the ancestors that need a
 gradient in descending index order, the tape of a Wengert list: a node runs
 after every node that consumes it. Double backward is not supported.
 
@@ -33,22 +34,28 @@ import numpy as np
 from .errors import GraphError, ShapeError
 
 _created = itertools.count()  # creation index of the next node
+_FLOAT64 = np.dtype(np.float64)
+
+# name -> (the activation in place, its derivative from its output); None
+# for the identity
+ACTIVATIONS = {"identity": None,
+               "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda y: y > 0.0),
+               "tanh": (lambda z: np.tanh(z, out=z), lambda y: 1.0 - y * y)}
 
 
 class Node:
     """A value in the computation graph with its accumulated gradient."""
 
-    __slots__ = ("value", "grad", "parents", "grad_fns", "requires_grad", "index")
+    __slots__ = ("value", "grad", "parents", "vjp", "requires_grad", "index")
 
-    def __init__(self, value, parents=(), grad_fns=(), requires_grad=True):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents
-        self.grad_fns = grad_fns
-        self.index = next(_created)
+    def __init__(self, value, parents=(), vjp=None, requires_grad=True):
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value, self.parents, self.vjp, self.index = value, parents, vjp, next(_created)
         if parents:
-            requires_grad = any(p.requires_grad for p in parents)
+            requires_grad = any([p.requires_grad for p in parents])
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.value) if requires_grad and not parents else None
+        self.grad = np.zeros_like(value) if requires_grad and not parents else None
 
     @property
     def shape(self):
@@ -69,9 +76,10 @@ class Node:
         self.grad = np.ones_like(self.value)
         for index in sorted(tape, reverse=True):
             node = tape[index]
-            for parent, grad_fn in zip(node.parents, node.grad_fns):
+            for parent, grad in zip(node.parents, node.vjp(node.grad)):
                 if parent.requires_grad:
-                    grad = _unbroadcast(grad_fn(node.grad), parent.value.shape)
+                    if grad.shape != parent.value.shape:
+                        grad = _unbroadcast(grad, parent.value.shape)
                     if parent.grad is None:
                         parent.grad = np.empty_like(parent.value)
                         parent.grad[...] = grad
@@ -82,7 +90,7 @@ class Node:
         a, b = self, _wrap(other)
         if a.shape != b.shape and not _bias_broadcast(a.shape, b.shape):
             raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-        return Node(a.value + b.value, (a, b), (_identity, _identity))
+        return Node(a.value + b.value, (a, b), lambda g: (g, g))
 
     def __sub__(self, other):
         return self + (_wrap(other) * -1.0)
@@ -91,8 +99,7 @@ class Node:
         a, b = self, _wrap(other)
         if a.shape != b.shape and a.value.size != 1 and b.value.size != 1:
             raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-        return Node(a.value * b.value, (a, b),
-                    (lambda g: g * b.value, lambda g: g * a.value))
+        return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -107,22 +114,27 @@ class Node:
         return affine(self, _wrap(other))
 
 
-def affine(x: Node, w: Node, b: Node | None = None) -> Node:
-    """``x @ w``, plus a row bias ``b`` of shape (d,) if one is given."""
+def affine(x: Node, w: Node, b: Node | None = None, activation: str = "identity") -> Node:
+    """``act(x @ w + b)`` as one node, for an ``activation`` named in
+    ACTIVATIONS; the row bias ``b`` of shape (d,) is optional."""
     if (x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]
             or b is not None and b.shape != w.shape[1:]):
         bias = "" if b is None else f" + bias {b.shape}"
         raise ShapeError(f"matmul: incompatible shapes {x.shape} @ {w.shape}{bias}")
     out = x.value @ w.value
-    grad_fns = (lambda g: g @ w.value.T, lambda g: x.value.T @ g)
-    if b is None:
-        return Node(out, (x, w), grad_fns)
-    out += b.value
-    return Node(out, (x, w, b), grad_fns + (_identity,))
+    if b is not None:
+        out += b.value
+    act = ACTIVATIONS[activation]
+    if act is not None:
+        act[0](out)
 
-
-def _identity(g):
-    return g
+    def vjp(g):
+        if act is not None:
+            g = act[1](out) * g
+        return (g @ w.value.T if x.requires_grad else None,
+                x.value.T @ g if w.requires_grad else None,
+                None if b is None else g.sum(axis=0))
+    return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def _wrap(x) -> Node:
@@ -151,39 +163,39 @@ def constant(x) -> Node:
 
 
 def relu(a: Node) -> Node:
-    return Node(np.maximum(a.value, 0.0), (a,), (lambda g: (a.value > 0.0) * g,))
+    return Node(np.maximum(a.value, 0.0), (a,), lambda g: ((a.value > 0.0) * g,))
 
 
 def tanh(a: Node) -> Node:
     t = np.tanh(a.value)
-    return Node(t, (a,), (lambda g: (1.0 - t * t) * g,))
+    return Node(t, (a,), lambda g: ((1.0 - t * t) * g,))
 
 
 def exp(a: Node) -> Node:
     e = np.exp(a.value)
-    return Node(e, (a,), (lambda g: e * g,))
+    return Node(e, (a,), lambda g: (e * g,))
 
 
 def square(a: Node) -> Node:
-    return Node(a.value**2, (a,), (lambda g: 2.0 * a.value * g,))
+    return Node(a.value**2, (a,), lambda g: (2.0 * a.value * g,))
 
 
 def clamp(a: Node, lo: float, hi: float) -> Node:
     """Clip values to [lo, hi]; gradient passes through inside the range."""
     return Node(np.clip(a.value, lo, hi), (a,),
-                (lambda g: ((a.value >= lo) & (a.value <= hi)) * g,))
+                lambda g: (((a.value >= lo) & (a.value <= hi)) * g,))
 
 
 def row_softmax(a: Node) -> Node:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    return Node(s, (a,), (lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+    return Node(s, (a,), lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
 
 
 def transpose(a: Node) -> Node:
-    return Node(a.value.T, (a,), (lambda g: g.T,))
+    return Node(a.value.T, (a,), lambda g: (g.T,))
 
 
 def reduce_sum(a: Node) -> Node:
-    return Node(a.value.sum(), (a,), (_identity,))
+    return Node(a.value.sum(), (a,), lambda g: (g,))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
-                     build_config, check_fields)
+                     build_config, check_fields, check_value)
 from .nn import Adam, Mlp
 from .numerics import (SimplexFrame, as_matrix, best_assignment, check_finite, match_rows,
                        rng_create, simplex_vertices)
@@ -176,32 +176,27 @@ class DeepAaModel:
         return total, parts
 
     def _objective(self, x_batch, y_batch, lam, noise):
-        """The graph of _loss_nodes, plus the decoded batch as an array
-        (train() refits ``noise_var`` from its residual)."""
-        m = x_batch.shape[0]
-        x = ad.constant(x_batch)
-        a, b, logvar, mu = self._encode_nodes(x)
-
+        """The graph of _loss_nodes, plus the batch's reconstruction residual
+        as an array (train() refits ``noise_var`` from it)."""
+        a, b, logvar, mu = self._encode_nodes(ad.constant(x_batch))
         kl = _kl(mu, logvar)
-        t = _sample(mu, logvar, ad.constant(noise))
+        t = _sample(mu, logvar, noise)
         x_hat = self.decoder.forward(t)
+        residual = x_batch - x_hat.value
         # noise_var is a constant of the graph: no gradient flows into it
-        precision = ad.constant((1.0 / self.noise_var)[:, None])
-        recon = (0.5 / m) * ad.reduce_sum(ad.square(x - x_hat) @ precision)
-        at = _archetype(a, b, ad.constant(self.frame.vertices))
+        recon = _squared_error(residual, x_hat, 1.0 / self.noise_var)
+        at = _archetype(a, b, self.frame.vertices)
 
         parts = {"recon": recon, "kl": kl, "at": at}
-        total = kl + lam * recon + self.at_weight * at
+        terms, weights = [kl, recon, at], [1.0, lam, self.at_weight]
         if self.side_head is not None:
             if y_batch is None:
                 raise ParameterError("model has a side head but batch has no labels")
             y_hat = self.side_head.forward(t)
-            side = (0.5 / m) * ad.reduce_sum(
-                ad.square(ad.constant(y_batch.reshape(-1, 1)) - y_hat)
-            )
+            side = _squared_error(y_batch.reshape(-1, 1) - y_hat.value, y_hat, np.ones(1))
             parts["side"] = side
-            total = total + lam * self.side_weight * side
-        return total, parts, x_hat.value
+            terms, weights = terms + [side], weights + [lam * self.side_weight]
+        return _weighted_sum(terms, weights), parts, residual
 
     # -- public operations ---------------------------------------------------
 
@@ -210,7 +205,9 @@ class DeepAaModel:
         run on ENCODE_CHUNK_ROWS rows at a time, so the graph held at once
         does not grow with the row count; B's softmax over the batch axis is
         then taken once, over every row."""
-        x_batch = as_matrix(_check_width(x_batch, self.arch.input_dim, "batch"), "batch")
+        x_batch = _check_width(x_batch, self.arch.input_dim, "batch")
+        if len(x_batch) == 0:
+            raise ShapeError("batch has no rows; encode needs at least one")
         step = ENCODE_CHUNK_ROWS
         chunks = [[node.value for node in self._heads(ad.constant(x_batch[i:i + step]))]
                   for i in range(0, len(x_batch), step)]
@@ -218,7 +215,7 @@ class DeepAaModel:
         return a, _batch_softmax(ad.constant(b_logits)).value, logvar, mu
 
     def decode(self, t):
-        """Decode latent points; returns (X_hat, y_hat-or-None)."""
+        """Decode finite latent points; returns (X_hat, y_hat-or-None)."""
         t = _check_width(t, self.arch.latent_dim, "latent points")
         x_hat = self.decoder.forward(ad.constant(t)).value
         y_hat = None
@@ -287,23 +284,48 @@ def _check_width(x, p: int, what: str) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != p:
         raise ShapeError(f"{what} must have {p} columns, got {x.shape[1]}")
-    return x
+    return as_matrix(x, what)
 
 
 # ---------------------------------------------------------------------------
-# The objective's terms, each built once as a graph: _objective composes them,
-# and kl_term, reparameterize and archetype_loss evaluate them on arrays
+# The objective's terms, each one graph node with its vector-Jacobian product
+# written out: _objective composes them, and kl_term, reparameterize and
+# archetype_loss evaluate them on arrays
 
 def _kl(mu: ad.Node, logvar: ad.Node) -> ad.Node:
-    return (0.5 / mu.shape[0]) * ad.reduce_sum(ad.exp(logvar) + ad.square(mu) - 1.0 - logvar)
+    half = 0.5 / mu.shape[0]
+    e = np.exp(logvar.value)
+    value = (e + mu.value**2 - 1.0 - logvar.value).sum() * half
+    return ad.Node(value, (mu, logvar),
+                   lambda g: (2.0 * mu.value * (g * half), (e - 1.0) * (g * half)))
 
 
-def _sample(mu: ad.Node, logvar: ad.Node, eps: ad.Node) -> ad.Node:
-    return mu + ad.exp(logvar * 0.5) * eps
+def _sample(mu: ad.Node, logvar: ad.Node, eps: np.ndarray) -> ad.Node:
+    sd = np.exp(logvar.value * 0.5)
+    return ad.Node(mu.value + sd * eps, (mu, logvar), lambda g: (g, 0.5 * sd * (g * eps)))
 
 
-def _archetype(a: ad.Node, b: ad.Node, v: ad.Node) -> ad.Node:
-    return ad.reduce_sum(ad.square(v - (b @ a) @ v))
+def _squared_error(residual: np.ndarray, pred: ad.Node, weights: np.ndarray) -> ad.Node:
+    """0.5 / m * sum_i sum_d weights_d residual_id^2 over the m rows, where
+    ``residual`` is the target minus ``pred``."""
+    half = 0.5 / len(residual)
+    value = (residual**2 @ weights).sum() * half
+    return ad.Node(value, (pred,), lambda g: (residual * (weights * (-2.0 * half * g)),))
+
+
+def _archetype(a: ad.Node, b: ad.Node, v: np.ndarray) -> ad.Node:
+    r = v - (b.value @ a.value) @ v
+
+    def vjp(g):
+        d_ba = (-2.0 * g * r) @ v.T
+        return b.value.T @ d_ba, d_ba @ a.value.T
+    return ad.Node((r**2).sum(), (a, b), vjp)
+
+
+def _weighted_sum(terms, weights) -> ad.Node:
+    """sum_i weights_i * terms_i over scalar nodes, as one node."""
+    value = sum(w * t.value for w, t in zip(weights, terms))
+    return ad.Node(value, tuple(terms), lambda g: [g * w for w in weights])
 
 
 def _latent_nodes(mu, logvar):
@@ -316,7 +338,7 @@ def _latent_nodes(mu, logvar):
 
 def archetype_loss(a: np.ndarray, b: np.ndarray, frame: SimplexFrame) -> float:
     """||V - B A V||_F^2 for the fixed vertex matrix V."""
-    return float(_archetype(ad.constant(a), ad.constant(b), ad.constant(frame.vertices)).value)
+    return float(_archetype(ad.constant(a), ad.constant(b), frame.vertices).value)
 
 
 def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -327,7 +349,7 @@ def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng) -> np.ndarray:
     """t = mu + exp(logvar / 2) * eps with eps ~ N(0, I)."""
     mu, logvar = _latent_nodes(mu, logvar)
-    return _sample(mu, logvar, ad.constant(rng.standard_normal(mu.shape))).value
+    return _sample(mu, logvar, rng.standard_normal(mu.shape)).value
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +399,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             yb = None if y is None else y[idx]
             lam = _lambda_at(hyper, step, scheduled=model.has_side)
             noise = rng.standard_normal((xb.shape[0], model.arch.latent_dim))
-            total, parts, x_hat = model._objective(xb, yb, lam, noise)
+            total, parts, residual = model._objective(xb, yb, lam, noise)
             if not np.isfinite(total.value):
                 raise NumericalError(
                     f"non-finite loss at step {step}; the parameters are left "
@@ -386,7 +408,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             opt.zero_grad()
             total.backward()
             opt.step()
-            batch_var = np.mean((xb - x_hat) ** 2, axis=0)
+            batch_var = np.mean(residual**2, axis=0)
             model.noise_var = np.maximum(
                 (1.0 - rate) * model.noise_var + rate * batch_var, NOISE_VAR_MIN)
             terms = [float(parts[name].value) if name in parts else 0.0
@@ -473,6 +495,7 @@ def vertex_recovery_report(model: DeepAaModel, dataset) -> dict:
 
 def interpolate(model: DeepAaModel, a_start, a_end, steps: int) -> np.ndarray:
     """Decode evenly spaced mixtures along the segment a_start -> a_end."""
+    check_value("steps", steps, int)
     if steps < 2:
         raise ParameterError("need at least 2 interpolation steps")
     a_start = _check_weights(a_start, model.arch.k)

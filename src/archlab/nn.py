@@ -10,8 +10,6 @@ from . import autodiff as ad
 from .errors import ParameterError, ShapeError
 from .numerics import rng_create
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "identity": lambda x: x}
-
 
 class Mlp:
     """Fully connected network. Weights use seeded Glorot-uniform init,
@@ -21,7 +19,7 @@ class Mlp:
                  rng=None):
         if len(sizes) < 2:
             raise ParameterError("an MLP needs at least input and output sizes")
-        if activation not in _ACTIVATIONS or output_activation not in _ACTIVATIONS:
+        if activation not in ad.ACTIVATIONS or output_activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown activation '{activation}'/'{output_activation}'")
         self.sizes = list(sizes)
         self.activation = activation
@@ -39,10 +37,10 @@ class Mlp:
         return self.weights + self.biases
 
     def forward(self, x: ad.Node) -> ad.Node:
-        """The network on a batch of shape (m, sizes[0]); else ShapeError."""
+        """The network on an (m, sizes[0]) batch, one node a layer; else ShapeError."""
         acts = [self.activation] * (len(self.weights) - 1) + [self.output_activation]
         for w, b, act in zip(self.weights, self.biases, acts):
-            x = _ACTIVATIONS[act](ad.affine(x, w, b))
+            x = ad.affine(x, w, b, act)
         return x
 
     def state(self):
@@ -59,9 +57,10 @@ class Adam:
     """Standard bias-corrected Adam over a fixed parameter list. It copies
     the parameters' values and gradients into flat float64 buffers
     (``values``, ``grads``) and makes each parameter's ``value`` and
-    ``grad`` a view of its slice, so ``step`` is five vector operations,
-    bit-identical to a loop over the arrays as Adam is elementwise. Write
-    parameters in place: ``step`` raises ``ShapeError`` if one is not its view."""
+    ``grad`` a view of its slice, so ``step`` is a few in-place vector
+    operations, bit-identical to a loop over the arrays as Adam is
+    elementwise. Write parameters in place: ``step`` raises ``ShapeError``
+    if one is not its view."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -70,6 +69,7 @@ class Adam:
         size = sum(p.value.size for p in self.params)
         self.values, self.grads = np.empty(size), np.empty(size)
         self.m, self.v = np.zeros(size), np.zeros(size)
+        self._update, self._scale = np.empty(size), np.empty(size)
         start = 0
         for p in self.params:
             stop = start + p.value.size
@@ -87,8 +87,13 @@ class Adam:
             raise ShapeError("a parameter's value or gradient is no longer its view")
         self.step_count += 1
         t = self.step_count
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * self.grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * self.grads**2
-        m_hat = self.m / (1.0 - self.beta1**t)
-        v_hat = self.v / (1.0 - self.beta2**t)
-        self.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, update, scale = self.m, self.v, self._update, self._scale
+        m *= self.beta1  # m = beta1 m + (1 - beta1) g
+        m += np.multiply(self.grads, 1.0 - self.beta1, out=update)
+        v *= self.beta2  # v = beta2 v + (1 - beta2) g^2
+        v += np.multiply(np.square(self.grads, out=update), 1.0 - self.beta2, out=update)
+        # values -= lr m_hat / (sqrt(v_hat) + eps)
+        np.multiply(np.divide(m, 1.0 - self.beta1**t, out=update), self.lr, out=update)
+        np.sqrt(np.divide(v, 1.0 - self.beta2**t, out=scale), out=scale)
+        scale += self.eps
+        self.values -= np.divide(update, scale, out=update)

@@ -89,6 +89,34 @@ class TestArithmetic:
         x, w, b = (ad.Node(rng.normal(size=s)) for s in ((6, 5), (5, 4), (4,)))
         np.testing.assert_array_equal(ad.affine(x, w, b).value, (x @ w + b).value)
 
+    @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
+    def test_affine_with_activation(self, activation):
+        check_grad(lambda x, w, b: ad.reduce_sum(ad.square(ad.affine(x, w, b, activation))),
+                   (5, 3), (3, 4), (4,))
+        check_grad(lambda x, w: ad.reduce_sum(ad.square(ad.affine(x, w, None, activation))),
+                   (5, 3), (3, 4))
+
+    def test_affine_activation_equals_composed_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x, w, b = (ad.Node(rng.normal(size=s)) for s in ((6, 5), (5, 4), (4,)))
+        for activation, op in (("relu", ad.relu), ("tanh", ad.tanh)):
+            results = []
+            for out in (ad.affine(x, w, b, activation), op(x @ w + b)):
+                for node in (x, w, b):
+                    node.zero_grad()
+                ad.reduce_sum(ad.square(out)).backward()
+                results.append([out.value] + [node.grad.copy() for node in (x, w, b)])
+            for got, want in zip(*results):
+                np.testing.assert_array_equal(got, want)
+
+    def test_affine_skips_gradients_of_constants(self):
+        rng = np.random.default_rng(3)
+        x, w = ad.constant(rng.normal(size=(4, 3))), ad.Node(rng.normal(size=(3, 2)))
+        out = ad.affine(x, w, None, "tanh")
+        dx, dw, _ = out.vjp(np.ones((4, 2)))
+        assert dx is None
+        np.testing.assert_allclose(dw, x.value.T @ (1.0 - out.value**2))
+
     def test_affine_shape_error(self):
         x, w = ad.Node(np.zeros((2, 3))), ad.Node(np.zeros((3, 4)))
         with pytest.raises(ShapeError):

@@ -16,6 +16,7 @@ from archlab.errors import (
 )
 from archlab.numerics import rng_create, simplex_vertices
 
+from test_autodiff import check_grad
 from test_numerics import barycentric_in_hull
 
 
@@ -112,6 +113,16 @@ class TestEncode:
     def test_rejects_wrong_width(self):
         with pytest.raises(ShapeError):
             tiny_model().encode(np.zeros((3, 5)))
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ShapeError, match="no rows"):
+            tiny_model().encode(np.zeros((0, 4)))
+
+    def test_decode_rejects_non_finite_points(self):
+        model = tiny_model(side=True)
+        for bad in (np.full((2, 2), np.nan), [[0.0, np.inf]]):
+            with pytest.raises(NumericalError, match="latent points"):
+                model.decode(bad)
 
     def test_chunked_encode_matches_one_graph(self):
         n = 3 * deep_aa.ENCODE_CHUNK_ROWS + 17  # three full chunks and a part
@@ -256,6 +267,69 @@ class TestLoss:
             a, b, logvar, mu = model.encode(x)
             assert deep_aa.kl_term(mu, logvar) == parts["kl"]
             assert deep_aa.archetype_loss(a, b, model.frame) == parts["at"]
+
+
+V3 = simplex_vertices(3).vertices
+EPS, PROBE, TARGET, LABELS = (rng_create(30 + i).standard_normal(s)
+                              for i, s in enumerate([(5, 2), (5, 2), (5, 3), (5, 1)]))
+WEIGHTS = rng_create(35).uniform(0.5, 2.0, size=3)
+
+# term -> (input shapes, the term as one node, the same term composed of
+# elementwise nodes as the model built it before each term became one node)
+FUSED_TERMS = {
+    "kl": ([(5, 2), (5, 2)], deep_aa._kl,
+           lambda mu, lv: (0.5 / 5) * ad.reduce_sum(ad.exp(lv) + ad.square(mu) - 1.0 - lv)),
+    "sample": ([(5, 2), (5, 2)],
+               lambda mu, lv: ad.reduce_sum(deep_aa._sample(mu, lv, EPS) * PROBE),
+               lambda mu, lv: ad.reduce_sum((mu + ad.exp(lv * 0.5) * EPS) * PROBE)),
+    "recon": ([(5, 3)], lambda x_hat: deep_aa._squared_error(TARGET - x_hat.value, x_hat, WEIGHTS),
+              lambda x_hat: (0.5 / 5) * ad.reduce_sum(
+                  ad.square(ad.constant(TARGET) - x_hat) @ ad.constant(WEIGHTS[:, None]))),
+    "side": ([(5, 1)], lambda y_hat: deep_aa._squared_error(LABELS - y_hat.value, y_hat, np.ones(1)),
+             lambda y_hat: (0.5 / 5) * ad.reduce_sum(ad.square(ad.constant(LABELS) - y_hat))),
+    "archetype": ([(5, 3), (3, 5)], lambda a, b: deep_aa._archetype(a, b, V3),
+                  lambda a, b: ad.reduce_sum(ad.square(ad.constant(V3) - (b @ a) @ ad.constant(V3)))),
+    "total": ([(), (), (), ()], lambda *terms: deep_aa._weighted_sum(terms, [1.0, 1.3, 64.0, 0.7]),
+              lambda kl, recon, at, side: kl + 1.3 * recon + 64.0 * at + 0.7 * side),
+}
+
+
+class TestFusedTerms:
+    @pytest.mark.parametrize("name", sorted(FUSED_TERMS))
+    def test_gradient_matches_finite_differences(self, name):
+        shapes, fused, _ = FUSED_TERMS[name]
+        check_grad(fused, *shapes)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_TERMS))
+    def test_value_and_gradient_match_composed_graph(self, name):
+        shapes, fused, composed = FUSED_TERMS[name]
+        rng = rng_create(36)
+        nodes = [ad.Node(rng.standard_normal(s)) for s in shapes]
+        results = []
+        for build in (fused, composed):
+            for node in nodes:
+                node.zero_grad()
+            out = build(*nodes)
+            out.backward()
+            results.append([out.value] + [node.grad.copy() for node in nodes])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("side_hidden, most", [(None, 20), ((16,), 23)])
+    def test_objective_is_one_node_per_layer_and_term(self, side_hidden, most):
+        # c03's layer widths; a composed objective reaches 46 computed nodes,
+        # and 56 with a side head
+        model = DeepAaModel(DeepAaArch(input_dim=4, k=3, side_hidden=side_hidden))
+        prng = rng_create(37)
+        total, _ = model._loss_nodes(prng.standard_normal((6, 4)), prng.uniform(size=6),
+                                     1.0, prng.standard_normal((6, 2)))
+        computed, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if node.parents and id(node) not in computed:
+                computed.add(id(node))
+                stack.extend(node.parents)
+        assert len(computed) <= most
 
 
 def worst_gradient_error(model, x, y, lam, noise, h=1e-5):
@@ -498,6 +572,11 @@ class TestGenerateInterpolate:
     def test_interpolate_needs_two_steps(self):
         with pytest.raises(ParameterError):
             deep_aa.interpolate(self._trained(), np.eye(3)[0], np.eye(3)[1], 1)
+
+    def test_interpolate_needs_integer_steps(self):
+        for steps in (2.5, "3", True):
+            with pytest.raises(ParameterError, match="field 'steps'"):
+                deep_aa.interpolate(tiny_model(), np.eye(3)[0], np.eye(3)[1], steps)
 
     def test_vertex_recovery_needs_ground_truth(self):
         with pytest.raises(MissingGroundTruth):

@@ -120,6 +120,16 @@ class TestAdam:
             for p, q in zip(flat.parameters(), loop.parameters()):
                 np.testing.assert_array_equal(p.value, q.value)
 
+    def test_step_updates_in_place(self):
+        w = ad.Node(np.zeros((3, 2)))
+        opt = nn.Adam([w], lr=0.1)
+        buffers = (opt.values, opt.grads, opt.m, opt.v)
+        for _ in range(2):
+            w.grad[...] = 1.0
+            opt.step()
+        assert all(a is b for a, b in zip(buffers, (opt.values, opt.grads, opt.m, opt.v)))
+        np.testing.assert_allclose(w.value, -0.2)
+
     def test_minimizes_quadratic(self):
         # minimize ||w - target||^2; Adam should converge
         target = np.array([[1.0, -2.0], [0.5, 3.0]])
