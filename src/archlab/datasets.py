@@ -136,6 +136,8 @@ class Dataset:
             raise ParameterError("column names do not match data width")
         if self.a_true is not None and self.a_true.shape[0] != n:
             raise ParameterError("A_true row count does not match X")
+        if self.z_true is not None and self.z_true.shape[1] != p:
+            raise ParameterError("Z_true width does not match X")
         if self.z_true is not None and self.a_true is not None \
                 and self.z_true.shape[0] != self.a_true.shape[1]:
             raise ParameterError("Z_true row count does not match A_true width")

@@ -15,6 +15,7 @@ is not kept. Every iterate stays feasible and the RSS is non-increasing.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .errors import DimensionError, NumericalError, ParameterError, ShapeError, 
 from .numerics import as_matrix, check_finite, rng_create
 
 _INNER_FW_STEPS = 10
+_KKT_TOL = 1e-12  # transform's certificate, relative to the gradient's scale
+_ROUNDS_PER_ATOM = 10  # transform's round bound is this times k
 _BETA_START, _BETA_GROWTH, _BETA_MAX = 1.0, 1.5, 4.0
 
 
@@ -87,7 +90,7 @@ def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     rows: row i of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Each
     step moves weight from the support atom with the largest gradient to the
     atom with the smallest (lowest index on ties), up to all of it. With no
-    more atoms than rows (the A-step, ``transform``) it runs in Gram form:
+    more atoms than rows (the A-step) it runs in Gram form:
     D D', T D' and a k x k table of ||d_j - d_a||^2 are formed once per call."""
     w = w.copy()
     # w[i, c] is flat[start[i] + c]: one flat index is faster than a pair
@@ -203,61 +206,57 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     )
 
 
-_ENUM_MAX_K = 12
-_TRANSFORM_FW_STEPS = 2000
-
-
 def transform(x, z) -> np.ndarray:
-    """Simplex weights A for fixed archetypes Z; approximate for k > 12.
-
-    For k <= 12 the simplex-constrained least-squares problem is solved
-    exactly per row: every support set is enumerated, the equality-
-    constrained optimum on that support is computed from its KKT system,
-    and the best feasible candidate is kept (the true optimum's support is
-    among the subsets, so this attains the global minimum). Larger k falls
-    back to 2000 Frank-Wolfe steps, which need not reach the optimum on a
-    nearly flat simplex.
-    """
+    """Simplex weights A for fixed archetypes Z, exact for every k: one batched
+    active-set method, Lawson & Hanson's NNLS with the sum-to-one row in the
+    KKT system. A row starts at its nearest archetype, adds the atom with the
+    most negative gradient when optimal on its support, and steps back to the
+    simplex where its support's optimum leaves it. It stops when no gradient
+    is below its support's by more than a relative tolerance; rows still
+    uncertified after the round bound are counted, and ten named, in one warning."""
     x = as_matrix(x, "X")
     z = as_matrix(z, "Z")
     if x.shape[1] != z.shape[1]:
         raise DimensionError(f"X has {x.shape[1]} columns but Z has {z.shape[1]}")
-    n, k = len(x), len(z)
-    if k == 1:
-        return np.ones((n, 1))
-    if k > _ENUM_MAX_K:
-        return _fw_rows(np.full((n, k), 1.0 / k), z, x, _TRANSFORM_FW_STEPS)
-    gram = z @ z.T
-    lin = x @ z.T  # (n, k)
-    best_obj = np.full(n, np.inf)
-    best_a = np.full((n, k), 1.0 / k)
-    for mask in range(1, 2**k):
-        support = [j for j in range(k) if mask >> j & 1]
-        s = len(support)
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * gram[np.ix_(support, support)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        try:
-            inv = np.linalg.inv(kkt)
-        except np.linalg.LinAlgError:
-            continue
-        rhs = np.hstack([2.0 * lin[:, support], np.ones((n, 1))])  # (n, s+1)
-        sol = rhs @ inv.T
-        a_s = sol[:, :s]
-        feasible = np.all(a_s >= -1e-12, axis=1)
-        if not np.any(feasible):
-            continue
-        a_s = np.clip(a_s, 0.0, None)
-        sums = a_s.sum(axis=1, keepdims=True)
-        np.divide(a_s, sums, out=a_s, where=sums > 0.0)
-        # objective up to the constant ||x||^2 term
-        obj = (np.einsum("ij,jl,il->i", a_s, gram[np.ix_(support, support)], a_s)
-               - 2.0 * np.einsum("ij,ij->i", a_s, lin[:, support]))
-        better = feasible & (obj < best_obj)
-        if np.any(better):
-            best_obj[better] = obj[better]
-            rows = np.zeros((int(better.sum()), k))
-            rows[:, support] = a_s[better]
-            best_a[better] = rows
-    return best_a
+    if len(z) == 0:
+        raise DimensionError("Z has no rows; transform needs at least one archetype")
+    gram, lin = z @ z.T, z @ x.T  # one column per row of X; half the gradient is G a - lin
+    k, n = lin.shape
+    a = np.zeros((k, n))  # transposed, so that reductions over atoms run along the fast axis
+    a[np.argmin(np.diag(gram)[:, None] - 2.0 * lin, axis=0), np.arange(n)] = 1.0
+    cols, stationary = np.arange(n), np.ones(n, bool)  # uncertified; optimal on support
+    for rounds in range(_ROUNDS_PER_ATOM * k + 1):
+        w = a[:, cols]
+        g = gram @ w - lin[:, cols]
+        tol = _KKT_TOL * (np.abs(g).max(axis=0) + np.diag(gram).max())
+        keep = np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol
+        cols, w, g = cols[keep], w[:, keep], g[:, keep]
+        if not len(cols) or rounds == _ROUNDS_PER_ATOM * k:
+            break
+        on = w > 0.0
+        add = np.flatnonzero(stationary[cols])
+        on[np.argmin(np.where(on, np.inf, g)[:, add], axis=0), add] = True
+        # s: the optimum on each support, from one KKT solve per distinct support
+        s, keys = np.zeros(on.shape), np.packbits(on, axis=0)
+        order = np.lexsort(keys)
+        starts = np.flatnonzero(np.diff(keys[:, order], axis=1).any(axis=0)) + 1
+        for group in np.split(order, starts):
+            atoms = np.flatnonzero(on[:, group[0]])
+            kkt = np.ones((len(atoms) + 1,) * 2)
+            kkt[:-1, :-1] = gram[np.ix_(atoms, atoms)]
+            kkt[-1, -1] = 0.0
+            rhs = np.vstack([lin[np.ix_(atoms, cols[group])], np.ones(len(group))])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:  # affinely dependent atoms: one of the optima
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            s[np.ix_(atoms, group)] = sol[:-1]
+        ratio = np.divide(w, w - s, out=np.full(s.shape, np.inf), where=s < 0.0)
+        alpha = np.minimum(ratio.min(axis=0), 1.0)
+        w = s - (1.0 - alpha) * (s - w)
+        w[ratio <= alpha] = 0.0
+        a[:, cols], stationary[cols] = w, alpha == 1.0
+    if len(cols):
+        warnings.warn(f"transform: {len(cols)} rows not certified optimal, among them "
+                      f"{cols[:10].tolist()}", stacklevel=2)
+    return np.ascontiguousarray(a.T)

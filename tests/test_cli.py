@@ -227,6 +227,14 @@ class TestFitDeep:
         _, out2 = self.fit(tmp_path, data, "d2")
         assert file_bytes(out1, names) == file_bytes(out2, names)
 
+    def test_ztrue_of_another_width_exits_config_before_training(self, tmp_path):
+        data = tmp_path / "X.csv"
+        datasets.write_matrix_csv(np.ones((200, 3)), ["x0", "x1", "x2"], str(data))
+        datasets.write_matrix_csv(np.ones((3, 2)), ["x0", "x1"], str(tmp_path / "X.ztrue.csv"))
+        code, out = self.fit(tmp_path, data)
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "model.json").exists()
+
     def test_side_info_without_labels_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
         code, _ = self.fit(tmp_path, data, "d3", "--side-info")
@@ -424,6 +432,13 @@ class TestPlot:
         csv.write_text("a\n1\n2\n")
         assert run("plot", "--in", csv, "--out",
                    tmp_path / "one.svg") == cli.EXIT_CONFIG
+
+    def test_non_finite_input_exits_numerical(self, tmp_path):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("a,b\n1,2\nnan,3\n4,5\n")
+        assert run("plot", "--in", csv, "--out",
+                   tmp_path / "nan.svg") == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "nan.svg").exists()
 
     def test_missing_input_exits_io(self, tmp_path):
         assert run("plot", "--in", tmp_path / "absent.csv", "--out",

@@ -265,6 +265,15 @@ class TestCsvRoundTrip:
             back, _ = datasets.read_matrix_csv(path)
         np.testing.assert_array_equal(back, m)
 
+    def test_ztrue_of_another_width_rejected(self, tmp_path):
+        path = tmp_path / "X.csv"
+        datasets.write_matrix_csv(np.ones((20, 3)), ["x0", "x1", "x2"], str(path))
+        datasets.write_matrix_csv(np.ones((3, 2)), ["x0", "x1"], str(tmp_path / "X.ztrue.csv"))
+        with pytest.raises(ParameterError, match="Z_true width"):
+            datasets.read_csv(str(path))
+        with pytest.raises(ParameterError, match="Z_true width"):
+            Dataset(x=np.ones((20, 3)), z_true=np.ones((3, 2)))
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x0,x1\n")

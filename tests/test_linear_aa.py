@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,36 @@ def simplex_grid(step=0.02):
     """All (w, 1-w) pairs on the 1-simplex with the given resolution."""
     w = np.arange(0.0, 1.0 + step / 2, step)
     return np.stack([w, 1.0 - w], axis=1)
+
+
+def kkt_spread(x, z, a):
+    """Per row, how far the gradient on the support rises above its minimum,
+    relative to the gradient's size; 0 at the simplex-constrained optimum."""
+    g = (a @ z - x) @ z.T
+    spread = np.where(a > 0.0, g, -np.inf).max(axis=1) - g.min(axis=1)
+    return spread / (1.0 + np.abs(g).max(axis=1))
+
+
+def enumerated_objectives(x, z):
+    """min ||x_i - a Z||^2 over the simplex by trying every support: the
+    optimum on an affinely independent support solves its KKT system, and
+    the best feasible one is the global optimum."""
+    k = len(z)
+    best = np.full(len(x), np.inf)
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            zs = z[list(support)]
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = zs @ zs.T
+            kkt[size, size] = 0.0
+            rhs = np.vstack([zs @ x.T, np.ones(len(x))])
+            try:
+                weights = np.linalg.solve(kkt, rhs)[:size].T
+            except np.linalg.LinAlgError:  # affinely dependent: a smaller support has the optimum
+                continue
+            obj = np.sum((x - weights @ zs) ** 2, axis=1)
+            best = np.where(np.all(weights >= 0.0, axis=1) & (obj < best), obj, best)
+    return best
 
 
 def brute_force_rss(x, k, step=0.02):
@@ -375,28 +407,78 @@ class TestTransform:
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(a >= -1e-12)
 
-    def test_frank_wolfe_path_above_enumeration_limit(self):
-        # k = 13 > 12 archetypes skips support enumeration
-        k = linear_aa._ENUM_MAX_K + 1
-        rng = rng_create(13)
-        z = rng.standard_normal((k, k + 1))
-        x = rng.standard_normal((200, k + 1))
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_kkt_conditions_for_every_k(self, k):
+        rng = rng_create(100 + k)
+        for p in (3, 16):  # k > p + 1 from k = 5 on at p = 3
+            z = rng.standard_normal((k, p))
+            x = 1.5 * rng.standard_normal((200, p))
+            a = linear_aa.transform(x, z)
+            np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(a >= 0.0)
+            assert kkt_spread(x, z, a).max() <= 1e-10
+            w = numerics.rng_dirichlet_matrix(rng, np.full(k, 2.0), 50)
+            np.testing.assert_allclose(linear_aa.transform(w @ z, z) @ z, w @ z, atol=1e-10)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_objective_matches_support_enumeration(self, k):
+        rng = rng_create(200 + k)
+        for p in (2, 5, 16):
+            z = rng.standard_normal((k, p))
+            x = 1.5 * rng.standard_normal((100, p))
+            a = linear_aa.transform(x, z)
+            np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1),
+                                       enumerated_objectives(x, z), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["duplicate", "midpoint", "k>p+1", "k=1"])
+    def test_degenerate_archetypes(self, case):
+        rng = rng_create(14)
+        base = rng.standard_normal((3, 3))
+        z = {"duplicate": np.vstack([base, base[1]]),
+             "midpoint": np.vstack([base, (base[0] + base[2]) / 2.0]),
+             "k>p+1": rng.standard_normal((6, 2)),
+             "k=1": base[:1]}[case]
+        x = np.vstack([2.0 * rng.standard_normal((300, z.shape[1])), z,
+                       (z[0] + z[-1]) / 2.0])
         a = linear_aa.transform(x, z)
-        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(a >= 0.0)
-        # KKT with the tolerance rule of bench/checks.simplex_kkt: on its
-        # support a row's gradient is at the row's minimum
-        g = 2.0 * (a @ z - x) @ z.T
-        scale = 1e-7 * (1.0 + np.abs(g).max(axis=1, keepdims=True)) \
-            * (1.0 + np.abs(z).max() ** 2)
-        gap = np.where(a > 1e-8, g - g.min(axis=1, keepdims=True), 0.0)
-        assert np.max(gap / scale) <= 1.0
-        w = numerics.rng_dirichlet_matrix(rng, np.full(k, 2.0), 50)
-        np.testing.assert_allclose(linear_aa.transform(w @ z, z) @ z, w @ z, atol=1e-5)
+        assert kkt_spread(x, z, a).max() <= 1e-10
+        np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1),
+                                   enumerated_objectives(x, z), rtol=1e-12, atol=1e-12)
+
+    def test_singular_support_system_is_solved_not_skipped(self, monkeypatch):
+        rng = rng_create(15)
+        z, x = rng.standard_normal((5, 3)), rng.standard_normal((100, 3))
+        expected = enumerated_objectives(x, z)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        # every KKT solve fails as a singular one does; least squares must stand in
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        a = linear_aa.transform(x, z)
+        assert kkt_spread(x, z, a).max() <= 1e-10
+        np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_rows_left_uncertified_are_named(self, monkeypatch):
+        monkeypatch.setattr(linear_aa, "_ROUNDS_PER_ATOM", 0)
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        x = np.array([[0.0, 0.0], [0.25, 0.25], [2.0, 0.0], [0.6, 0.3]])
+        with pytest.warns(UserWarning, match=r"2 rows not certified optimal, among them \[1, 3\]$"):
+            a = linear_aa.transform(x, z)
+        np.testing.assert_array_equal(a, np.eye(3)[[0, 0, 1, 1]])  # each at its nearest vertex
+        with pytest.warns(UserWarning, match=r"24 rows .* among them \[0, 1, .*, 9\]$"):
+            linear_aa.transform(np.tile([0.6, 0.3], (24, 1)), z)  # a long list is cut at 10
+
+    def test_empty_inputs(self):
+        assert linear_aa.transform(np.ones((0, 3)), np.ones((4, 3))).shape == (0, 4)
+        with pytest.raises(DimensionError, match="no rows"):
+            linear_aa.transform(np.ones((5, 3)), np.ones((0, 3)))
 
     @pytest.mark.parametrize("k", [1, 3, 14])
     def test_column_mismatch_rejected(self, k):
-        # one archetype, the support enumeration and the Frank-Wolfe path
+        # the width check precedes the solver, which takes one path for every k
         with pytest.raises(DimensionError, match="columns"):
             linear_aa.transform(np.ones((5, 3)), np.ones((k, 4)))
 
