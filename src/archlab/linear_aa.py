@@ -1,16 +1,14 @@
 """Linear archetypal analysis: X ~ A B X with row-stochastic A and B.
 
-The solver alternates between the two weight blocks. Both are made of
-least-squares problems on the unit simplex, and one routine, ``_fw_rows``,
-takes a few pairwise Frank-Wolfe steps with exact line search on all of
-them; no n x n matrix is formed. With B (hence the archetypes Z = B X)
-fixed, every row of A is an independent problem over the dictionary Z, and
-the A-step runs in Gram form, on Z Z' and X Z' only. With A fixed, the rows
-of B are updated one after another (Gauss-Seidel), each over the dictionary X.
-Each outer iteration then extrapolates (A, B) along its last step and keeps
-that point only if its RSS is lower (Ang & Gillis 2019); the factor beta
-grows from 1 by half per kept point, up to 4, and falls back to 1 when one
-is not kept. Every iterate stays feasible and the RSS is non-increasing.
+The solver alternates between the two blocks of simplex least-squares
+problems, forming no n x n matrix. With the archetypes Z = B X fixed, the
+A-step solves every row of A exactly, from the current A, by the active-set
+method that ``transform`` runs. With A fixed, the rows of B are updated one
+after another (Gauss-Seidel), each by a few pairwise Frank-Wolfe steps over
+the dictionary X. Each outer iteration then extrapolates (A, B) along its last
+step and keeps that point only if its RSS is lower (Ang & Gillis 2019); beta
+grows from 1 by half per kept point, up to 4, and falls back to 1 when one is
+not kept. Every iterate stays feasible and the RSS is non-increasing.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from .errors import DimensionError, NumericalError, ParameterError, ShapeError, 
 from .numerics import as_matrix, check_finite, rng_create
 
 _INNER_FW_STEPS = 10
-_KKT_TOL = 1e-12  # transform's certificate, relative to the gradient's scale
-_ROUNDS_PER_ATOM = 10  # transform's round bound is this times k
+_KKT_TOL = 1e-10  # the active-set certificate, relative to ||x_i||^2 + max_j ||z_j||^2
+_ROUNDS_PER_ATOM = 10  # the active-set round bound is this times k
 _BETA_START, _BETA_GROWTH, _BETA_MAX = 1.0, 1.5, 4.0
 
 
@@ -89,34 +87,71 @@ def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     """Pairwise Frank-Wolfe with exact line search on independent simplex
     rows: row i of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Each
     step moves weight from the support atom with the largest gradient to the
-    atom with the smallest (lowest index on ties), up to all of it. With no
-    more atoms than rows (the A-step) it runs in Gram form:
-    D D', T D' and a k x k table of ||d_j - d_a||^2 are formed once per call."""
+    atom with the smallest (lowest index on ties), up to all of it."""
     w = w.copy()
     # w[i, c] is flat[start[i] + c]: one flat index is faster than a pair
     flat, start = w.reshape(-1), np.arange(0, w.size, w.shape[1])
-    gram_form = w.shape[1] <= len(w)
-    if gram_form:  # distances from differences: G_jj + G_aa - 2 G_ja cancels
-        diff = dictionary[:, None] - dictionary
-        gram, lin = dictionary @ dictionary.T, target @ dictionary.T
-        table = np.einsum("abp,abp->ab", diff, diff)
     for _ in range(steps):  # grad is half the true gradient
-        grad = w @ gram - lin if gram_form else (w @ dictionary - target) @ dictionary.T
+        grad = (w @ dictionary - target) @ dictionary.T
         j = np.argmin(grad, axis=1)
         a = np.argmax(np.where(w > 0.0, grad, -np.inf), axis=1)
         fj, fa = start + j, start + a
         slope = np.take(grad, fj) - np.take(grad, fa)
-        if gram_form:
-            curvature = np.take(table, j * len(table) + a)
-        else:
-            move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
-            curvature = np.einsum("ij,ij->i", move, move)
+        move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
+        curvature = np.einsum("ij,ij->i", move, move)
         cap = flat[fa]
         ratio = np.divide(-slope, curvature, out=cap.copy(), where=curvature > 0.0)
         gamma = np.where(slope < 0.0, np.minimum(cap, ratio), 0.0)
         flat[fa] -= gamma
         flat[fj] += gamma
     return w
+
+
+def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
+    """Lawson & Hanson's active-set NNLS with the sum-to-one row in the KKT
+    system, batched: column i of the feasible start ``a`` (k, n) moves to the
+    weights minimizing ||x_i - a_i' Z||^2, never raising that objective. A row
+    optimal on its support adds the outside atom of least gradient; one whose
+    support's optimum leaves the simplex steps back to the boundary and drops
+    the atoms that reach zero. Returns the weights and the uncertified rows."""
+    a = a.copy()  # transposed, so that reductions over atoms run along the fast axis
+    gram, lin = z @ z.T, z @ x.T  # one column per row of X; half the gradient is G a - lin
+    tol = _KKT_TOL * (np.einsum("ij,ij->i", x, x) + np.diag(gram).max())
+    # the rows not yet certified, and whether each is optimal on its support (a vertex is)
+    cols, stationary = np.arange(len(x)), np.count_nonzero(a, axis=0) == 1
+    for rounds in range(_ROUNDS_PER_ATOM * len(z) + 1):
+        w = a[:, cols]
+        g = gram @ w - lin[:, cols]
+        keep = (np.abs(w.sum(axis=0) - 1.0) > 1e-12) | (
+            np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol[cols])
+        cols, w, g = cols[keep], w[:, keep], g[:, keep]
+        if not len(cols) or rounds == _ROUNDS_PER_ATOM * len(z):
+            break
+        on = w > 0.0
+        add = np.flatnonzero(stationary[cols])
+        on[np.argmin(np.where(on, np.inf, g)[:, add], axis=0), add] = True
+        # s: the optimum on each support, from one KKT solve per distinct support
+        s, keys = np.zeros(on.shape), np.packbits(on, axis=0)
+        order = np.lexsort(keys)
+        starts = np.flatnonzero(np.diff(keys[:, order], axis=1).any(axis=0)) + 1
+        for group in np.split(order, starts):
+            atoms = np.flatnonzero(on[:, group[0]])
+            kkt = np.ones((len(atoms) + 1,) * 2)
+            kkt[:-1, :-1] = gram[np.ix_(atoms, atoms)]
+            kkt[-1, -1] = 0.0
+            rhs = np.vstack([lin[np.ix_(atoms, cols[group])], np.ones(len(group))])
+            try:  # for nearly affinely dependent atoms LU's answer can solve nothing
+                sol = np.linalg.solve(kkt, rhs)
+                if np.abs(kkt @ sol - rhs).max() > 1e-8 * (np.abs(kkt).max() + np.abs(rhs).max()):
+                    raise np.linalg.LinAlgError("numerically singular")
+            except np.linalg.LinAlgError:  # affinely dependent atoms: one of the optima
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            s[np.ix_(atoms, group)] = sol[:-1]
+        ratio = np.divide(w, w - s, out=np.full(s.shape, np.inf), where=s < 0.0)
+        alpha = np.minimum(ratio.min(axis=0), 1.0)
+        w = np.where(ratio <= alpha, 0.0, s - (1.0 - alpha) * (s - w))
+        a[:, cols], stationary[cols] = w, alpha == 1.0
+    return a, cols
 
 
 def _extrapolate(new: np.ndarray, old: np.ndarray, beta: float) -> np.ndarray:
@@ -159,7 +194,7 @@ def _init_b(x: np.ndarray, cfg: LinearAaConfig) -> np.ndarray:
 
 
 def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
-    """Alternating pairwise Frank-Wolfe fit of the archetypal factorization."""
+    """Alternating fit of the archetypal factorization (see the module docstring)."""
     x = np.ascontiguousarray(as_matrix(x, "X"))  # np.take copies a strided X
     n, _ = x.shape
     if cfg.k > n:
@@ -173,9 +208,9 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     beta = _BETA_START
     for _ in range(cfg.max_outer_iters):
         a_old, b_old = a, b.copy()  # the B-step writes rows of b in place
-        a = _fw_rows(a, z, x, _INNER_FW_STEPS)
+        a = _active_set(a.T, x, z)[0].T
         for j in range(cfg.k):
-            weight = float(a[:, j] @ a[:, j])
+            weight = float(np.einsum("i,i->", a[:, j], a[:, j]))  # BLAS's dot splits by threads
             if weight == 0.0:  # archetype j unused by A; objective is flat in B[j]
                 continue
             target = (x - a @ z).T @ a[:, j] / weight + z[j]
@@ -207,55 +242,19 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
 
 
 def transform(x, z) -> np.ndarray:
-    """Simplex weights A for fixed archetypes Z, exact for every k: one batched
-    active-set method, Lawson & Hanson's NNLS with the sum-to-one row in the
-    KKT system. A row starts at its nearest archetype, adds the atom with the
-    most negative gradient when optimal on its support, and steps back to the
-    simplex where its support's optimum leaves it. It stops when no gradient
-    is below its support's by more than a relative tolerance; rows still
-    uncertified after the round bound are counted, and ten named, in one warning."""
+    """Simplex weights A for fixed archetypes Z, exact for every k: each row
+    starts at its nearest archetype and runs the fit's active-set A-step. A
+    returned row is on the simplex; unless a warning counts it (naming ten), no
+    gradient on its support exceeds the least by over _KKT_TOL (||x_i||^2 +
+    max_j ||z_j||^2), so its objective is within twice that of the optimum."""
     x = as_matrix(x, "X")
     z = as_matrix(z, "Z")
     if x.shape[1] != z.shape[1]:
         raise DimensionError(f"X has {x.shape[1]} columns but Z has {z.shape[1]}")
     if len(z) == 0:
         raise DimensionError("Z has no rows; transform needs at least one archetype")
-    gram, lin = z @ z.T, z @ x.T  # one column per row of X; half the gradient is G a - lin
-    k, n = lin.shape
-    a = np.zeros((k, n))  # transposed, so that reductions over atoms run along the fast axis
-    a[np.argmin(np.diag(gram)[:, None] - 2.0 * lin, axis=0), np.arange(n)] = 1.0
-    cols, stationary = np.arange(n), np.ones(n, bool)  # uncertified; optimal on support
-    for rounds in range(_ROUNDS_PER_ATOM * k + 1):
-        w = a[:, cols]
-        g = gram @ w - lin[:, cols]
-        tol = _KKT_TOL * (np.abs(g).max(axis=0) + np.diag(gram).max())
-        keep = np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol
-        cols, w, g = cols[keep], w[:, keep], g[:, keep]
-        if not len(cols) or rounds == _ROUNDS_PER_ATOM * k:
-            break
-        on = w > 0.0
-        add = np.flatnonzero(stationary[cols])
-        on[np.argmin(np.where(on, np.inf, g)[:, add], axis=0), add] = True
-        # s: the optimum on each support, from one KKT solve per distinct support
-        s, keys = np.zeros(on.shape), np.packbits(on, axis=0)
-        order = np.lexsort(keys)
-        starts = np.flatnonzero(np.diff(keys[:, order], axis=1).any(axis=0)) + 1
-        for group in np.split(order, starts):
-            atoms = np.flatnonzero(on[:, group[0]])
-            kkt = np.ones((len(atoms) + 1,) * 2)
-            kkt[:-1, :-1] = gram[np.ix_(atoms, atoms)]
-            kkt[-1, -1] = 0.0
-            rhs = np.vstack([lin[np.ix_(atoms, cols[group])], np.ones(len(group))])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:  # affinely dependent atoms: one of the optima
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            s[np.ix_(atoms, group)] = sol[:-1]
-        ratio = np.divide(w, w - s, out=np.full(s.shape, np.inf), where=s < 0.0)
-        alpha = np.minimum(ratio.min(axis=0), 1.0)
-        w = s - (1.0 - alpha) * (s - w)
-        w[ratio <= alpha] = 0.0
-        a[:, cols], stationary[cols] = w, alpha == 1.0
+    nearest = np.argmin(np.einsum("ij,ij->i", z, z)[:, None] - 2.0 * z @ x.T, axis=0)
+    a, cols = _active_set(np.eye(len(z))[:, nearest], x, z)
     if len(cols):
         warnings.warn(f"transform: {len(cols)} rows not certified optimal, among them "
                       f"{cols[:10].tolist()}", stacklevel=2)

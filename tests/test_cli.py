@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -571,18 +572,48 @@ def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
     assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in files)
 
 
-def test_module_entry_point(tmp_path):
+def archlab_process(*argv, threads=None):
+    """``python -m archlab.cli`` in a child process, with the BLAS thread
+    count set when ``threads`` is given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, "-m", "archlab.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
 
-    def archlab(*argv):
-        return subprocess.run([sys.executable, "-m", "archlab.cli", *map(str, argv)],
-                              env=env, capture_output=True, text=True, timeout=120)
 
-    ok = archlab("gen-data", "--spec", write_spec(tmp_path), "--out", tmp_path / "data")
+def test_module_entry_point(tmp_path):
+    ok = archlab_process("gen-data", "--spec", write_spec(tmp_path), "--out", tmp_path / "data")
     assert ok.returncode == cli.EXIT_OK, ok.stderr
     assert (tmp_path / "data" / "manifest.json").exists()
-    bad = archlab("gen-data", "--spec", write_spec(tmp_path, n="x"), "--out", tmp_path / "o")
+    bad = archlab_process("gen-data", "--spec", write_spec(tmp_path, n="x"),
+                          "--out", tmp_path / "o")
     assert bad.returncode == cli.EXIT_CONFIG
     assert bad.stderr.startswith("error:") and "field 'n'" in bad.stderr
+
+
+def test_linear_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # 12 000 rows, 10 800 of them in the sweep's training split: OpenBLAS
+    # splits a strided dot product across its threads above 10 000 entries.
+    # The data is warped like c02's seed 4.
+    spec = write_spec(tmp_path, n=12_000, p=8, sigma2=0.05, embed_seed=104,
+                      sample_seed=204, warp={"kind": "exp", "dim": 1})
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"max_outer_iters": 50}))
+    digests = []
+    for threads in (1, 2):  # two threads are enough to split the work
+        out = tmp_path / f"threads{threads}"
+        for argv in (("gen-data", "--spec", spec, "--out", out / "data"),
+                     ("fit-linear", "--data", out / "data", "--k", 3, "--max-iters", 50,
+                      "--seed", 1, "--out", out / "fit"),
+                     ("sweep", "--data", out / "data", "--ks", "1,2,3", "--config", config,
+                      "--out", out / "sweep")):
+            done = archlab_process(*argv, threads=threads)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+        digests.append({str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.rglob("*")
+                        if path.is_file() and path.name != "manifest.json"})
+    assert len(digests[0]) == 7
+    assert digests[0] == digests[1]

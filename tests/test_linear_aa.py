@@ -201,25 +201,6 @@ class TestFwRowStep:
             oracle = pairwise_fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [3, 5, 14])
-    def test_gram_form_matches_residual_form(self, k):
-        # a batch of 200 rows has no more atoms than rows and steps in Gram
-        # form; one row alone has more atoms than rows and steps on its
-        # residual, as a B row does. One step from random weights, some of
-        # them zero, meets no ties; an exact line search leaves its pair's
-        # gradients tied, so later steps would break ties by rounding.
-        rng = rng_create(20 + k)
-        z = rng.standard_normal((k, 8))
-        a = numerics.rng_dirichlet_matrix(rng, np.ones(k), 200)
-        a[rng.random(a.shape) < 0.3] = 0.0
-        a[np.arange(200), rng.integers(k, size=200)] += 0.1
-        a /= a.sum(axis=1, keepdims=True)
-        x = rng.standard_normal((200, 8))
-        batched = linear_aa._fw_rows(a, z, x, 1)
-        for row, a_row, x_row in zip(batched, a, x):
-            alone = linear_aa._fw_rows(a_row[None], z, x_row[None], 1)[0]
-            np.testing.assert_allclose(row, alone, rtol=0.0, atol=1e-12)
-
 
 def simplex_projection(v):
     """Euclidean projection of the vector ``v`` onto the unit simplex
@@ -276,6 +257,28 @@ class TestExtrapolate:
         assert max(betas) > 1.0  # beta grows only after an accepted point
         assert np.all(np.diff(model.rss_history) <= 1e-9)
         np.testing.assert_array_equal(model.z, model.b @ x)
+
+
+class TestAStep:
+    def test_each_a_step_is_exact(self, monkeypatch):
+        active_set, steps = linear_aa._active_set, []
+
+        def recording(a, x, z):
+            out = active_set(a, x, z)
+            steps.append((a.T.copy(), z.copy(), out[0].T.copy(), len(out[1])))
+            return out
+
+        monkeypatch.setattr(linear_aa, "_active_set", recording)
+        x = rng_create(18).standard_normal((300, 4))
+        model = linear_aa.fit_linear_aa(x, linear_aa.LinearAaConfig(k=4, max_outer_iters=15))
+        assert len(steps) == model.iterations == 15
+        for start, z, a, uncertified in steps:
+            assert uncertified == 0
+            np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(a >= 0.0)
+            assert kkt_spread(x, z, a).max() <= 1e-10
+            before, after = (np.sum((x - w @ z) ** 2, axis=1) for w in (start, a))
+            assert np.all(after <= before * (1.0 + 1e-12) + 1e-12)
 
 
 class TestFurthestSum:
@@ -447,6 +450,23 @@ class TestTransform:
         np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1),
                                    enumerated_objectives(x, z), rtol=1e-12, atol=1e-12)
 
+    def test_nearly_affinely_dependent_archetypes(self):
+        # a fourth archetype on the edge between z_1 and z_2, moved off it by
+        # eps (z_0 - z_1) with eps from 1e-7 to 1e-3: a support holding all
+        # four has a KKT matrix with a condition number up to about 4e16, and
+        # its LU solution can be far from solving the system
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            base = 6.0 * rng.standard_normal((3, 4))
+            eps, t = 10.0 ** -rng.uniform(3, 7), rng.uniform(0.2, 0.8)
+            z = np.vstack([base, (1 - t) * base[1] + t * base[2] + eps * (base[0] - base[1])])
+            x = rng.dirichlet(np.full(4, 0.3), size=400) @ z
+            a = linear_aa.transform(x, z)  # an uncertified row would warn, and fail
+            np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(a >= 0.0)
+            excess = np.sum((x - a @ z) ** 2, axis=1) - enumerated_objectives(x, z)
+            assert np.all(excess <= 2e-10 * (np.sum(x**2, axis=1) + np.sum(z**2, axis=1).max()))
+
     def test_singular_support_system_is_solved_not_skipped(self, monkeypatch):
         rng = rng_create(15)
         z, x = rng.standard_normal((5, 3)), rng.standard_normal((100, 3))
@@ -460,6 +480,21 @@ class TestTransform:
         assert kkt_spread(x, z, a).max() <= 1e-10
         np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1), expected,
                                    rtol=1e-12, atol=1e-12)
+
+    def test_rows_off_the_simplex_are_never_certified(self, monkeypatch):
+        # every support solve fails and its stand-in returns zero weights, so
+        # the rows that need a solve leave the simplex: a zero row has no
+        # support and hence no gradient on it to reject
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda kkt, rhs, rcond: (np.zeros_like(rhs),))
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        x = np.array([[0.0, 0.0], [0.25, 0.25], [0.3, 0.5]])
+        with pytest.warns(UserWarning, match=r"2 rows not certified optimal, among them \[1, 2\]$"):
+            a = linear_aa.transform(x, z)
+        np.testing.assert_array_equal(a[0], [1.0, 0.0, 0.0])
 
     def test_rows_left_uncertified_are_named(self, monkeypatch):
         monkeypatch.setattr(linear_aa, "_ROUNDS_PER_ATOM", 0)
