@@ -120,6 +120,10 @@ def cmd_fit_linear(args) -> dict:
         seed=args.seed,
     )
     model = linear_aa.fit_linear_aa(ds.x, cfg)
+    # PCA projection of data plus archetypes for plotting; it can fail (too
+    # few rows, zero variance), so it runs before any file is written
+    pca = pca_fit(ds.x, min(3, ds.p, ds.n))
+    points, vertices = pca_project(pca, ds.x), pca_project(pca, model.z)
     out = _ensure_dir(args.out)
     datasets.write_model(model, str(out / "model.json"))
     rss_log = np.column_stack([
@@ -127,10 +131,7 @@ def cmd_fit_linear(args) -> dict:
     ])
     datasets.write_matrix_csv(rss_log, ["iteration", "rss"],
                               str(out / "rss_log.csv"))
-    # PCA projection of data plus archetypes for plotting
-    pca = pca_fit(ds.x, min(3, ds.p, ds.n))
-    scatter = _write_scatter(pca_project(pca, ds.x), pca_project(pca, model.z),
-                             "pc", out / "pca_scatter.csv")
+    scatter = _write_scatter(points, vertices, "pc", out / "pca_scatter.csv")
     return {"config": {"k": cfg.k, "max_outer_iters": cfg.max_outer_iters,
                        "rel_tol": cfg.rel_tol, "rss": model.rss,
                        "iterations": model.iterations, "converged": model.converged},
@@ -161,9 +162,8 @@ def cmd_fit_deep(args) -> dict:
 
     out = _ensure_dir(args.out)
     datasets.write_model(model, str(out / "model.json"))
-    datasets.write_matrix_csv(np.array(model.history),
-                              deep_aa.HISTORY_COLUMNS,
-                              str(out / "history.csv"))
+    datasets.write_matrix_csv(np.reshape(model.history, (-1, len(deep_aa.HISTORY_COLUMNS))),
+                              deep_aa.HISTORY_COLUMNS, str(out / "history.csv"))
     _, _, _, mu = model.encode(ds.x)
     outputs = [out / "model.json", out / "history.csv",
                _write_scatter(mu, model.frame.vertices, "t", out / "latent_scatter.csv")]

@@ -255,11 +255,15 @@ def atomic_write_text(path: str, text) -> None:
 
 
 def write_matrix_csv(m: np.ndarray, header: list, path: str) -> None:
-    """Write ``m`` under ``header``, every number with 17 significant
-    digits; rows are formatted a chunk at a time, never as one string."""
+    """Write the 2-D ``m`` under ``header``, every number with 17 significant
+    digits; rows are formatted a chunk at a time, never as one string. Raises
+    ShapeError unless ``m`` has one column per header name."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[1] != len(header):
+        raise ShapeError(f"a matrix of shape {m.shape} does not fit a header of "
+                         f"{len(header)} columns")
     head = io.StringIO()
     csv.writer(head, lineterminator="\n").writerow(header)
-    m = np.atleast_2d(m)
     row = ",".join(["%.17g"] * m.shape[1]) + "\n"
     atomic_write_text(path, itertools.chain([head.getvalue()], (
         "".join([row % tuple(r) for r in m[i:i + CSV_CHUNK_ROWS].tolist()])

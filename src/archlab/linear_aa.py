@@ -4,11 +4,13 @@ The solver alternates between the two blocks of simplex least-squares
 problems, forming no n x n matrix. With the archetypes Z = B X fixed, the
 A-step solves every row of A exactly, from the current A, by the active-set
 method that ``transform`` runs. With A fixed, the rows of B are updated one
-after another (Gauss-Seidel), each by a few pairwise Frank-Wolfe steps over
-the dictionary X. Each outer iteration then extrapolates (A, B) along its last
-step and keeps that point only if its RSS is lower (Ang & Gillis 2019); beta
-grows from 1 by half per kept point, up to 4, and falls back to 1 when one is
-not kept. Every iterate stays feasible and the RSS is non-increasing.
+after another (Gauss-Seidel): each row, the weights of one archetype over the
+rows of X, takes up to ten pairwise Frank-Wolfe steps (Lacoste-Julien & Jaggi
+2015), stopping once no pair of atoms descends. Each outer iteration then
+extrapolates (A, B) along its last step and keeps that point only if its RSS
+is lower (Ang & Gillis 2019); beta grows from 1 by half per kept point, up to
+4, and falls back to 1 when one is not kept. Every iterate stays feasible and
+the RSS is non-increasing.
 """
 
 from __future__ import annotations
@@ -82,28 +84,24 @@ class LinearAaModel:
         )
 
 
-def _fw_rows(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
-             steps: int) -> np.ndarray:
-    """Pairwise Frank-Wolfe with exact line search on independent simplex
-    rows: row i of ``w`` minimizes ||target[i] - w[i] @ dictionary||^2. Each
-    step moves weight from the support atom with the largest gradient to the
-    atom with the smallest (lowest index on ties), up to all of it."""
+def _fw_row(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
+            steps: int) -> np.ndarray:
+    """Pairwise Frank-Wolfe with exact line search on one simplex row: ``w``
+    minimizes ||target - w @ dictionary||^2. Each step moves weight from the
+    support atom with the largest gradient to the atom with the smallest
+    (lowest index on ties), up to all of it."""
     w = w.copy()
-    # w[i, c] is flat[start[i] + c]: one flat index is faster than a pair
-    flat, start = w.reshape(-1), np.arange(0, w.size, w.shape[1])
     for _ in range(steps):  # grad is half the true gradient
         grad = (w @ dictionary - target) @ dictionary.T
-        j = np.argmin(grad, axis=1)
-        a = np.argmax(np.where(w > 0.0, grad, -np.inf), axis=1)
-        fj, fa = start + j, start + a
-        slope = np.take(grad, fj) - np.take(grad, fa)
-        move = np.take(dictionary, j, axis=0) - np.take(dictionary, a, axis=0)
-        curvature = np.einsum("ij,ij->i", move, move)
-        cap = flat[fa]
-        ratio = np.divide(-slope, curvature, out=cap.copy(), where=curvature > 0.0)
-        gamma = np.where(slope < 0.0, np.minimum(cap, ratio), 0.0)
-        flat[fa] -= gamma
-        flat[fj] += gamma
+        j, a = np.argmin(grad), np.argmax(np.where(w > 0.0, grad, -np.inf))
+        slope = grad[j] - grad[a]
+        if not slope < 0.0:  # no pair descends, so no later step moves either
+            break
+        move = dictionary[j] - dictionary[a]
+        curvature = np.einsum("i,i->", move, move)
+        gamma = min(w[a], -slope / curvature) if curvature > 0.0 else w[a]
+        w[a] -= gamma
+        w[j] += gamma
     return w
 
 
@@ -167,39 +165,24 @@ def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     summed distance to the current selection, then replaces the arbitrary
     starting row by one more greedy pick.
     """
-    n = x.shape[0]
-    rng = rng_create(seed)
-    chosen = [int(rng.integers(n))]
-
-    def sum_dists(members):
-        return np.linalg.norm(x[:, None, :] - x[members], axis=2).sum(axis=1)
-
-    for _ in range(k - 1):
-        d = sum_dists(chosen)
-        d[chosen] = -np.inf
-        chosen.append(int(np.argmax(d)))
-    if k > 1:
-        chosen.pop(0)
-        d = sum_dists(chosen)
+    chosen = [int(rng_create(seed).integers(x.shape[0]))]
+    for pick in range(k if k > 1 else 0):
+        if pick == k - 1:  # the last pick replaces the arbitrary start
+            chosen.pop(0)
+        d = np.linalg.norm(x[:, None, :] - x[chosen], axis=2).sum(axis=1)
         d[chosen] = -np.inf
         chosen.append(int(np.argmax(d)))
     return np.array(chosen)
 
 
-def _init_b(x: np.ndarray, cfg: LinearAaConfig) -> np.ndarray:
-    idx = furthest_sum_indices(x, cfg.k, cfg.seed)
-    b = np.zeros((cfg.k, x.shape[0]))
-    b[np.arange(cfg.k), np.sort(idx)] = 1.0
-    return b
-
-
 def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     """Alternating fit of the archetypal factorization (see the module docstring)."""
-    x = np.ascontiguousarray(as_matrix(x, "X"))  # np.take copies a strided X
+    x = np.ascontiguousarray(as_matrix(x, "X"))  # C order: the same BLAS kernels for any layout
     n, _ = x.shape
     if cfg.k > n:
         raise DimensionError(f"k={cfg.k} exceeds number of rows n={n}")
-    b = _init_b(x, cfg)
+    b = np.zeros((cfg.k, n))
+    b[np.arange(cfg.k), np.sort(furthest_sum_indices(x, cfg.k, cfg.seed))] = 1.0
     a = np.full((n, cfg.k), 1.0 / cfg.k)
     z = b @ x
     rss_prev = float(np.sum((x - a @ z) ** 2))
@@ -214,7 +197,7 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
             if weight == 0.0:  # archetype j unused by A; objective is flat in B[j]
                 continue
             target = (x - a @ z).T @ a[:, j] / weight + z[j]
-            b[j] = _fw_rows(b[j:j + 1], x, target[None], _INNER_FW_STEPS)[0]
+            b[j] = _fw_row(b[j], x, target, _INNER_FW_STEPS)
             z[j] = b[j] @ x
         z = b @ x
         rss_now = float(np.sum((x - a @ z) ** 2))

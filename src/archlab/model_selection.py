@@ -8,7 +8,8 @@ import numpy as np
 
 from . import deep_aa, linear_aa
 from .datasets import Dataset
-from .errors import ArchlabError, InsufficientPoints, ParameterError, build_config, check_keys
+from .errors import (ArchlabError, DimensionError, InsufficientPoints, ParameterError,
+                     build_config, check_keys)
 from .numerics import rng_create
 
 TEST_FRACTION = 0.1
@@ -77,15 +78,19 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     """Fit one model per archetype count and record test reconstruction MSE.
 
     A fit that raises an ArchlabError is recorded as a missing point, with
-    the reason in ``failures``, rather than aborting the sweep; a config key
-    the fitter does not take, or a value no k could use, is rejected before
-    any fit runs. ``stops`` records how each linear fit stopped.
+    the reason in ``failures``, rather than aborting the sweep; a dataset
+    too small to hold out a test row, a config key the fitter does not take,
+    or a value no k could use, is rejected before any fit runs. ``stops``
+    records how each linear fit stopped.
     """
     ks = list(ks)
     if not ks:
         raise ParameterError("ks must be non-empty")
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
+    if len(dataset.x) < 2:
+        raise DimensionError(f"a sweep needs at least 2 rows to hold out a test row, "
+                             f"got {len(dataset.x)}")
     cfg = {} if cfg is None else cfg
     if fit == "linear":
         configs, worker = _linear_config, _linear_test_mse

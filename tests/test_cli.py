@@ -175,6 +175,18 @@ class TestFitLinear:
                    "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("rows, message", [("1,2\n", "at least 2 rows"),
+                                                ("1,2\n1,2\n1,2\n", "zero variance")],
+                             ids=["one row", "equal rows"])
+    def test_failed_projection_writes_no_file(self, tmp_path, capsys, rows, message):
+        # the fit succeeds, but the PCA plot projection cannot be made
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1\n" + rows)
+        out = tmp_path / "o"
+        assert run("fit-linear", "--data", data, "--k", 1, "--out", out) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_negative_max_iters_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = run("fit-linear", "--data", data, "--k", 3, "--max-iters", -5,
@@ -206,6 +218,14 @@ class TestFitDeep:
         assert isinstance(model, deep_aa.DeepAaModel)
         report = json.loads((out / "vertex_recovery.json").read_text())
         assert "archetype_loss" in report
+
+    def test_zero_epochs_write_a_header_only_history(self, tmp_path):
+        hyper = tmp_path / "zero.json"
+        hyper.write_text(json.dumps({"epochs": 0}))
+        out = tmp_path / "deep"
+        assert run("fit-deep", "--data", gen_dataset(tmp_path), "--k", 3, "--hyper", hyper,
+                   "--out", out) == cli.EXIT_OK
+        assert (out / "history.csv").read_text() == ",".join(deep_aa.HISTORY_COLUMNS) + "\n"
 
     def test_manifest_records_epochs_run(self, tmp_path):
         code, out = self.fit(tmp_path, gen_dataset(tmp_path))
@@ -293,6 +313,16 @@ class TestSweep:
                        "--out", out) == cli.EXIT_OK
             runs.append(file_bytes(out, ("curve.csv",)))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fit", ["linear", "deep"])
+    def test_single_row_exits_config_without_curve(self, tmp_path, capsys, fit):
+        data = tmp_path / "one.csv"
+        data.write_text("x0,x1\n1,2\n")
+        out = tmp_path / "o"
+        assert run("sweep", "--data", data, "--ks", "1,2", "--fit", fit,
+                   "--out", out) == cli.EXIT_CONFIG
+        assert "at least 2 rows" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
 
     def test_bad_ks_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -616,4 +646,34 @@ def test_linear_outputs_do_not_depend_on_blas_threads(tmp_path):
                         for path in out.rglob("*")
                         if path.is_file() and path.name != "manifest.json"})
     assert len(digests[0]) == 7
+    assert digests[0] == digests[1]
+
+
+def test_deep_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a few thousand labelled rows: training, encoding and decoding run
+    # matrix products large enough for OpenBLAS to split across threads
+    spec = write_spec(tmp_path, n=3_000, p=8, sigma2=0.05, embed_seed=104, sample_seed=204,
+                      side_info={"kind": "mixture_projection", "j": 0})
+    hyper, config = tmp_path / "hyper.json", tmp_path / "sweep.json"
+    hyper.write_text(json.dumps({"epochs": 2}))
+    config.write_text(json.dumps({"hyper": {"epochs": 1}}))
+    digests = []
+    for threads in (1, 2):  # two threads are enough to split the work
+        out = tmp_path / f"threads{threads}"
+        model = out / "fit" / "model.json"
+        for argv in (("gen-data", "--spec", spec, "--out", out / "data"),
+                     ("fit-deep", "--data", out / "data", "--k", 3, "--hyper", hyper,
+                      "--side-info", "--seed", 1, "--out", out / "fit"),
+                     ("interpolate", "--model", model, "--from", "1,0,0", "--to", "0,0.5,0.5",
+                      "--out", out / "interpolate"),
+                     ("sample", "--model", model, "--weights", "0.2,0.3,0.5", "--noise",
+                      "--seed", 3, "--out", out / "sample"),
+                     ("sweep", "--data", out / "data", "--ks", "2,3", "--fit", "deep",
+                      "--config", config, "--out", out / "sweep")):
+            done = archlab_process(*argv, threads=threads)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+        digests.append({str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.rglob("*")
+                        if path.is_file() and path.name != "manifest.json"})
+    assert len(digests[0]) == 10
     assert digests[0] == digests[1]

@@ -17,6 +17,7 @@ from archlab.errors import (
     ParameterError,
     ParseError,
     SchemaVersionError,
+    ShapeError,
 )
 
 
@@ -337,6 +338,14 @@ class TestCsvRoundTrip:
             m, header = datasets.read_matrix_csv(str(path))
         assert m.shape == (0, 2) and m.dtype == np.float64
         assert header == ["x0", "x1"]
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(2), np.zeros(0), np.ones((1, 1, 2))],
+                             ids=["too wide", "1-D", "empty 1-D", "3-D"])
+    def test_matrix_not_as_wide_as_its_header_rejected(self, tmp_path, m):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ShapeError, match="header of 2 columns"):
+            datasets.write_matrix_csv(m, ["x0", "x1"], str(path))
+        assert not path.exists()
 
     def test_written_bytes(self, tmp_path):
         m = np.array([[-0.0, np.nan, np.inf, -np.inf],

@@ -161,7 +161,7 @@ class TestFwRowStep:
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         start = np.array([[0.2, 0.4, 0.4], [0.6, 0.3, 0.1]])
         target = np.array([[1.0, 1.0], [1.0, 1.0]])
-        w = linear_aa._fw_rows(start, z, target, 4)
+        w = np.array([linear_aa._fw_row(row, z, t, 4) for row, t in zip(start, target)])
         np.testing.assert_array_equal(w[:, 0], 0.0)
         np.testing.assert_allclose(w, [[0.0, 0.5, 0.5]] * 2, atol=1e-12)
         np.testing.assert_array_equal(start[0], [0.2, 0.4, 0.4])  # input kept
@@ -183,8 +183,8 @@ class TestFwRowStep:
         x[::2] = a[::2] @ z - ties @ z / 4.0
         # some rows hold weight on both maximal atoms: the away atom ties
         assert np.sum(np.all(a[::2][ties == 1.0].reshape(-1, 2) > 0, axis=1)) >= 3
-        stepped = linear_aa._fw_rows(a, z, x, 1)
-        for row, a_row, x_row in zip(stepped, a, x):
+        for a_row, x_row in zip(a, x):
+            row = linear_aa._fw_row(a_row, z, x_row, 1)
             oracle = pairwise_fw_row_step(2.0 * (a_row @ q - z @ x_row), a_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 
@@ -196,8 +196,8 @@ class TestFwRowStep:
         q = x @ x.T
         b = numerics.rng_dirichlet_matrix(rng, np.ones(7), 20)
         target = rng.standard_normal((20, 3))
-        stepped = linear_aa._fw_rows(b, x, target, 1)
-        for row, b_row, t_row in zip(stepped, b, target):
+        for b_row, t_row in zip(b, target):
+            row = linear_aa._fw_row(b_row, x, t_row, 1)
             oracle = pairwise_fw_row_step(2.0 * (b_row @ q - x @ t_row), b_row, q)
             np.testing.assert_allclose(row, oracle, atol=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 
 from archlab import model_selection, numerics
 from archlab.datasets import Dataset
-from archlab.errors import InsufficientPoints, ParameterError
+from archlab.errors import DimensionError, InsufficientPoints, ParameterError
 from archlab.model_selection import SelectionCurve
 from archlab.numerics import rng_create
 
@@ -44,6 +44,12 @@ class TestSplit:
 
 class TestSweep:
     TIGHT = {"max_outer_iters": 3000, "rel_tol": 1e-10}
+
+    @pytest.mark.parametrize("fit", ["linear", "deep"])
+    def test_fewer_than_two_rows_rejected_before_any_fit(self, fit):
+        # one row leaves no row to hold out, so no k has a test loss
+        with pytest.raises(DimensionError, match="at least 2 rows.*got 1"):
+            model_selection.sweep(Dataset(x=np.array([[1.0, 2.0]])), [1, 2], fit=fit)
 
     def test_losses_non_increasing_on_convex_data(self):
         ds = convex_dataset(k_true=3, noise=0.0)
