@@ -2,11 +2,15 @@
 files; nothing is interactive. Each command but ``plot`` writes into an
 output directory, where :func:`main` adds a ``manifest.json`` with the keys
 ``command``, ``config``, ``seeds``, ``inputs``, ``outputs`` (the other files
-there), ``warnings`` (those shown), ``git_describe`` and ``duration_seconds``.
+there), ``warnings`` (those shown), ``git_describe``, ``duration_seconds``
+and ``environment`` (the NumPy version and BLAS build, the BLAS thread
+variables as set, and the CPUs in the process's affinity mask).
 ``fit-linear`` and ``fit-deep`` add ``stop``: why the solver stopped
 (``"converged"`` or ``"iteration cap"``; ``"epochs done"``) and after how
 many iterations or epochs; a linear ``sweep`` records the same ``stop`` for
-each k in ``config.stops``. JSON files are compact, with sorted keys.
+each k in ``config.stops``. A ``sweep`` also records the worker processes
+it ran its fits in (``config.workers``) and each k's fit time, measured in
+its worker (``config.seconds``). JSON files are compact, with sorted keys.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.
@@ -15,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
 import time
@@ -54,6 +59,18 @@ def _git_describe() -> str:
     except (OSError, subprocess.SubprocessError):  # no git, or it timed out
         pass
     return "unknown"
+
+
+def _environment() -> dict:
+    """How this process may use the machine: the NumPy version and BLAS
+    build, the BLAS thread variables (None when unset) and the CPUs in the
+    process's affinity mask."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpus": len(os.sched_getaffinity(0))}
 
 
 def _ensure_dir(path: str) -> Path:
@@ -192,7 +209,8 @@ def cmd_sweep(args) -> dict:
                               str(out / "curve.csv"))
     return {"config": {"ks": ks, "fit": args.fit, "config": cfg,
                        "chosen_k": curve.chosen_k, "failures": curve.failures,
-                       "stops": curve.stops},
+                       "stops": curve.stops, "workers": curve.workers,
+                       "seconds": curve.seconds},
             "seeds": {"seed": args.seed}, "inputs": [args.data],
             "outputs": [out / "curve.csv"]}
 
@@ -355,6 +373,7 @@ def main(argv=None) -> int:
                 warnings=shown,
                 git_describe=_git_describe(),
                 duration_seconds=time.monotonic() - started,
+                environment=_environment(),
             )
             datasets.write_json(record, str(Path(args.out) / "manifest.json"))
         return EXIT_OK

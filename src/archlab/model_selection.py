@@ -1,7 +1,16 @@
-"""Archetype-count sweeps with a fixed train/test split and elbow detection."""
+"""Archetype-count sweeps with a fixed train/test split and elbow detection.
+
+A sweep fits its archetype counts in worker processes, one per CPU the
+process may run on (at most one per k). Each k's fit is seeded from the
+sweep's seed and k alone, so the curve is identical to fitting the counts
+one after another in one process.
+"""
 
 from __future__ import annotations
 
+import os
+import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +19,7 @@ from . import deep_aa, linear_aa
 from .datasets import Dataset
 from .errors import (ArchlabError, DimensionError, InsufficientPoints, ParameterError,
                      build_config, check_keys)
-from .numerics import rng_create
+from .numerics import check_seed, rng_create
 
 TEST_FRACTION = 0.1
 
@@ -23,6 +32,9 @@ class SelectionCurve:
     failures: dict = field(default_factory=dict)  # k -> why its fit failed
     # k -> LinearAaModel.stop: how each linear fit stopped
     stops: dict = field(default_factory=dict)
+    # k -> seconds its fit took, timed in the worker process that ran it
+    seconds: dict = field(default_factory=dict)
+    workers: int = 0  # worker processes the sweep ran its fits in
 
 
 def split_train_test(n: int, seed: int):
@@ -73,29 +85,57 @@ def _deep_test_mse(dataset, k, cfg, seed):
     return float(np.mean((x_test - x_hat) ** 2)), None
 
 
+def _fit_one(fit, dataset, k, cfg, seed):
+    """One k of a sweep, run in a worker process: its loss and stop (None
+    for a failed fit), why it failed, the warnings it raised as
+    (message, category, filename, lineno), and its seconds. The fitter is
+    looked up by name here, in the forked copy of this module, so one
+    replaced on the module before the sweep is the one that runs."""
+    started = time.perf_counter()
+    loss = stop = failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loss, stop = globals()[f"_{fit}_test_mse"](dataset, k, cfg, seed)
+        except ArchlabError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+    raised = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return loss, stop, failure, raised, time.perf_counter() - started
+
+
 def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
           seed: int = 0) -> SelectionCurve:
     """Fit one model per archetype count and record test reconstruction MSE.
 
     A fit that raises an ArchlabError is recorded as a missing point, with
     the reason in ``failures``, rather than aborting the sweep; a dataset
-    too small to hold out a test row, a config key the fitter does not take,
-    or a value no k could use, is rejected before any fit runs. ``stops``
-    records how each linear fit stopped.
+    too small to hold out a test row, a k below 1, a negative seed, a config
+    key the fitter does not take, or a value no k could use, is rejected
+    before any fit runs. ``stops`` records how each linear fit stopped.
+
+    The fits run in ``workers`` forked worker processes, one per CPU in this
+    process's affinity mask and at most one per k, largest k first, as the
+    largest fits take longest. The curve is identical to a serial sweep's.
+    ``seconds`` holds each k's fit time, measured in its worker. Warnings a
+    fit raises are raised again here, in k order; any error other than an
+    ArchlabError propagates. No worker outlives the call.
     """
     ks = list(ks)
     if not ks:
         raise ParameterError("ks must be non-empty")
     if sorted(set(ks)) != ks:
         raise ParameterError("ks must be strictly ascending")
+    if ks[0] < 1:
+        raise ParameterError(f"archetype counts must be at least 1, got {ks[0]}")
+    check_seed(seed)
     if len(dataset.x) < 2:
         raise DimensionError(f"a sweep needs at least 2 rows to hold out a test row, "
                              f"got {len(dataset.x)}")
     cfg = {} if cfg is None else cfg
     if fit == "linear":
-        configs, worker = _linear_config, _linear_test_mse
+        configs = _linear_config
     elif fit == "deep":
-        configs, worker = _deep_configs, _deep_test_mse
+        configs = _deep_configs
     else:
         raise ParameterError(f"unknown fitter '{fit}'")
     # a config key the fitter does not take (k and the seeds come from the
@@ -104,16 +144,33 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     # sweep's, as every fitter takes them
     configs(dataset, cfg, 2, 0)
 
-    curve = SelectionCurve(ks=ks, losses=[])
-    for k in ks:
+    # imported here, as only a sweep needs them: the pool's modules add
+    # about 2 MiB to every process that imports archlab
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    curve = SelectionCurve(ks=ks, losses=[],
+                           workers=min(len(ks), len(os.sched_getaffinity(0))))
+    # fork, not spawn or forkserver: those import NumPy and the caller's
+    # __main__ again in every worker, and forkserver leaves its server running
+    with ProcessPoolExecutor(curve.workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {k: pool.submit(_fit_one, fit, dataset, k, cfg, seed)
+                   for k in reversed(ks)}
         try:
-            loss, stop = worker(dataset, k, cfg, seed)
-        except ArchlabError as exc:
-            curve.failures[k] = f"{type(exc).__name__}: {exc}"
-            loss, stop = None, None
+            results = [futures[k].result() for k in ks]
+        finally:  # on an error, fits not yet started are dropped, not run
+            pool.shutdown(cancel_futures=True)
+    registry = {}  # a warning repeated across the fits is shown once
+    for k, (loss, stop, failure, raised, seconds) in zip(ks, results):
+        for message, category, filename, lineno in raised:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
         curve.losses.append(loss)
+        if failure is not None:
+            curve.failures[k] = failure
         if stop is not None:
             curve.stops[k] = stop
+        curve.seconds[k] = seconds
     usable = curve_rows(curve)
     if len(usable) == 1:
         curve.chosen_k = usable[0][0]

@@ -10,6 +10,7 @@ Dirichlet draws are normalized gamma variates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,8 +36,16 @@ def check_finite(x: np.ndarray, name: str = "result") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # RNG
 
+def check_seed(seed) -> None:
+    """Raise ParameterError unless ``seed`` is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"a seed must be a non-negative integer, got {seed!r}")
+
+
 def rng_create(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 generator; same seed gives bit-identical streams."""
+    """Deterministic PCG64 generator; same seed gives bit-identical streams.
+    Raises ParameterError unless ``seed`` is a non-negative integer."""
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -362,6 +362,45 @@ class TestSweep:
             assert stop["reason"] in ("converged", "iteration cap")
             assert stop["iterations"] >= 1
 
+    def test_worker_warning_recorded_once_in_manifest(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": {"encoder_hidden": [8], "decoder_hidden": [8]},
+                                      "hyper": {"epochs": 1, "batch": 2}}))
+        out = tmp_path / "o"
+        # only the k=3 fit, run in a worker process, has a batch below k
+        with pytest.warns(UserWarning, match="batch size 2 below k=3"):
+            code = run("sweep", "--data", data, "--ks", "2,3", "--fit", "deep",
+                       "--config", config, "--out", out)
+        assert code == cli.EXIT_OK
+        warned = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert len(warned) == 1
+        assert warned[0].startswith("UserWarning: batch size 2 below k=3")
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("gen-data", [], "got -1"),
+    ("fit-linear", ["--k", 3, "--seed", -1], "got -1"),
+    ("fit-deep", ["--k", 3, "--seed", -5], "got -5"),
+    ("sweep", ["--ks=-1,2"], "at least 1, got -1"),
+    ("sweep", ["--ks=0,2"], "at least 1, got 0"),
+    ("sweep", ["--ks", "1,2", "--seed=-1"], "got -1"),
+    ("sample", ["--weights", "0.2,0.3,0.5", "--noise", "--seed", -1], "got -1"),
+], ids=["gen-data", "fit-linear", "fit-deep", "sweep-ks", "sweep-zero-k", "sweep-seed",
+        "sample"])
+def test_negative_seed_or_count_exits_config(tmp_path, capsys, fitted, command, argv,
+                                             message):
+    if command == "gen-data":
+        argv = ["--spec", write_spec(tmp_path, embed_seed=-1)]
+    elif command == "sample":
+        argv = ["--model", fitted["model"], *argv]
+    else:
+        argv = ["--data", fitted["data"], *argv]
+    capsys.readouterr()
+    assert run(command, *argv, "--out", tmp_path / "o") == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 class TestInterpolateAndSample:
     @pytest.fixture
@@ -557,7 +596,7 @@ def test_config_that_is_not_an_object_exits_config(tmp_path, capsys, command, op
 
 
 MANIFEST_KEYS = {"command", "config", "seeds", "inputs", "outputs", "warnings",
-                 "git_describe", "duration_seconds"}
+                 "git_describe", "duration_seconds", "environment"}
 
 
 @pytest.fixture(scope="module")
@@ -600,18 +639,32 @@ def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
     assert manifest["warnings"] == []
     assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
     assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in files)
+    environment = manifest["environment"]
+    assert set(environment) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "cpus"}
+    assert environment["numpy"] == np.__version__
+    assert set(environment["blas"]) == {"name", "version", "openblas configuration"}
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert environment[variable] == os.environ.get(variable)
+    assert environment["cpus"] == len(os.sched_getaffinity(0))
+    if argv[0] == "sweep":
+        assert manifest["config"]["workers"] == min(2, len(os.sched_getaffinity(0)))
+        assert sorted(manifest["config"]["seconds"]) == ["1", "2"]
 
 
-def archlab_process(*argv, threads=None):
+def archlab_process(*argv, threads=None, cpus=None):
     """``python -m archlab.cli`` in a child process, with the BLAS thread
-    count set when ``threads`` is given."""
+    count set when ``threads`` is given and the child pinned to the CPUs
+    ``cpus`` when they are given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     if threads is not None:
         env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     return subprocess.run([sys.executable, "-m", "archlab.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=env, capture_output=True, text=True, timeout=300,
+                          preexec_fn=pin)
 
 
 def test_module_entry_point(tmp_path):
@@ -677,3 +730,28 @@ def test_deep_outputs_do_not_depend_on_blas_threads(tmp_path):
                         if path.is_file() and path.name != "manifest.json"})
     assert len(digests[0]) == 10
     assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_sweep_outputs_do_not_depend_on_worker_count(tmp_path):
+    data = gen_dataset(tmp_path, n=2_000, p=8, sigma2=0.05)
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps({"arch": {"encoder_hidden": [8], "decoder_hidden": [8]},
+                                  "hyper": {"epochs": 1}}))
+    sweeps = {"linear": ("--ks", "1,2,3,4"),
+              "deep": ("--ks", "2,3", "--fit", "deep", "--config", config)}
+    runs = {}
+    for count in (1, 2):
+        cpus = set(sorted(os.sched_getaffinity(0))[:count])
+        for fit, argv in sweeps.items():
+            out = tmp_path / f"{fit}{count}"
+            done = archlab_process("sweep", "--data", data, *argv, "--out", out, cpus=cpus)
+            assert done.returncode == cli.EXIT_OK, done.stderr
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["cpus"] == count
+            assert manifest["config"]["workers"] == count
+            runs[fit, count] = (hashlib.sha256((out / "curve.csv").read_bytes()).hexdigest(),
+                                manifest["config"]["stops"])
+    for fit in sweeps:
+        assert runs[fit, 1] == runs[fit, 2]
+    assert len(runs["linear", 1][1]) == 4

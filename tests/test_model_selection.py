@@ -1,4 +1,6 @@
 import copy
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -100,6 +102,53 @@ class TestSweep:
         monkeypatch.setattr(model_selection, "_linear_test_mse", broken)
         with pytest.raises(ValueError):
             model_selection.sweep(convex_dataset(n=50), [1, 2], fit="linear")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fit, ks, cfg", [
+        # k=50 exceeds the 45 training rows, so that fit fails
+        ("linear", [1, 2, 3, 4, 50], {}),
+        ("deep", [2, 3], {"arch": {"encoder_hidden": (8,), "decoder_hidden": (8,)},
+                          "hyper": {"epochs": 1, "batch": 10}}),
+    ])
+    def test_matches_fits_run_in_process(self, fit, ks, cfg):
+        ds = convex_dataset(n=50, noise=0.05)
+        curve = model_selection.sweep(ds, ks, fit=fit, cfg=cfg, seed=5)
+        assert multiprocessing.active_children() == []
+        assert curve.workers == min(len(ks), len(os.sched_getaffinity(0)))
+        assert sorted(curve.seconds) == ks and all(s > 0 for s in curve.seconds.values())
+        losses, stops, failures = [], {}, {}
+        for k in ks:
+            try:
+                loss, stop = getattr(model_selection, f"_{fit}_test_mse")(ds, k, cfg, 5)
+            except DimensionError as exc:
+                loss, stop, failures[k] = None, None, f"DimensionError: {exc}"
+            losses.append(loss)
+            if stop is not None:
+                stops[k] = stop
+        assert (curve.losses, curve.stops, curve.failures) == (losses, stops, failures)
+        assert list(curve.failures) == ([50] if fit == "linear" else [])
+
+    def test_worker_warning_reaches_the_caller_once(self):
+        cfg = {"arch": {"encoder_hidden": (8,), "decoder_hidden": (8,)},
+               "hyper": {"epochs": 1, "batch": 2}}
+        # only the k=3 fit has a batch below k
+        with pytest.warns(UserWarning, match="batch size 2 below k=3") as caught:
+            model_selection.sweep(convex_dataset(n=20), [2, 3], fit="deep", cfg=cfg)
+        assert [str(w.message) for w in caught if w.category is UserWarning] == [
+            "batch size 2 below k=3; the batch-axis softmax cannot span all archetypes"]
+
+    @pytest.mark.parametrize("ks, seed, message", [
+        ([-1, 2], 0, "at least 1, got -1"),
+        ([0, 2], 0, "at least 1, got 0"),
+        ([1, 2], -1, "non-negative integer, got -1"),
+    ])
+    def test_bad_count_or_seed_rejected_before_any_fit(self, monkeypatch, ks, seed,
+                                                      message):
+        def fitted(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(model_selection, "_linear_test_mse", fitted)
+        with pytest.raises(ParameterError, match=message):
+            model_selection.sweep(convex_dataset(n=50), ks, seed=seed)
 
     @pytest.mark.parametrize("fit, cfg", [
         ("linear", {"max_iters": 50}),

@@ -39,6 +39,15 @@ class TestRng:
         b = numerics.rng_create(42).standard_normal(100)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, None, "3"])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            numerics.rng_create(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        np.testing.assert_array_equal(numerics.rng_create(np.int64(3)).random(4),
+                                      numerics.rng_create(3).random(4))
+
     def test_different_seeds_differ(self):
         a = numerics.rng_create(1).standard_normal(100)
         b = numerics.rng_create(2).standard_normal(100)
