@@ -1,16 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The op set: matmul and ``affine`` (a layer ``act(x @ w + b)`` as one node,
-for an ``act`` named in ``ACTIVATIONS``), add with row-bias broadcast,
-elementwise arithmetic, relu, tanh, exp, square, clamp, row softmax,
-transpose and sum. Each op builds ``Node(value, parents, vjp)``: ``vjp``
-maps the output's gradient to a gradient per parent, or None where a parent
-needs none (a broadcast parent's is summed back to its shape), so a fused
-op, such as each of the deep model's loss terms, computes shared factors
-once. Graphs are built eagerly and each node takes the next creation index,
-so it comes after its parents. ``backward`` on a scalar node runs the ancestors that need a
-gradient in descending index order, the tape of a Wengert list: a node runs
-after every node that consumes it. Double backward is not supported.
+The op set is what the deep model's graphs build: ``affine`` (a layer
+``act(x @ w + b)`` as one node, for an ``act`` named in ``ACTIVATIONS``,
+the bias optional), ``clamp``, ``row_softmax``, ``transpose`` and
+``constant``. Any other op, such as each of the deep model's loss terms, is
+one ``Node(value, parents, vjp)``: ``vjp`` maps the output's gradient to a
+gradient per parent, each at that parent's own shape, or None where a
+parent needs none, so a fused op computes shared factors once. Graphs are
+built eagerly and each node takes the next creation index, so it comes
+after its parents. ``backward`` on a scalar node runs the ancestors that
+need a gradient in descending index order, the tape of a Wengert list: a
+node runs after every node that consumes it. Double backward is not
+supported.
 
 Only nodes that need a gradient get one: a ``Node(value)`` leaf does, a
 ``constant`` does not, and a computed node does when any of its parents
@@ -27,7 +28,6 @@ sums further down would round differently, as NumPy's do by layout.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -78,40 +78,11 @@ class Node:
             node = tape[index]
             for parent, grad in zip(node.parents, node.vjp(node.grad)):
                 if parent.requires_grad:
-                    if grad.shape != parent.value.shape:
-                        grad = _unbroadcast(grad, parent.value.shape)
                     if parent.grad is None:
                         parent.grad = np.empty_like(parent.value)
                         parent.grad[...] = grad
                     else:
                         parent.grad += grad
-
-    def __add__(self, other):
-        a, b = self, _wrap(other)
-        if a.shape != b.shape and not _bias_broadcast(a.shape, b.shape):
-            raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-        return Node(a.value + b.value, (a, b), lambda g: (g, g))
-
-    def __sub__(self, other):
-        return self + (_wrap(other) * -1.0)
-
-    def __mul__(self, other):
-        a, b = self, _wrap(other)
-        if a.shape != b.shape and a.value.size != 1 and b.value.size != 1:
-            raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-        return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return _wrap(other) - self
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __matmul__(self, other):
-        return affine(self, _wrap(other))
 
 
 def affine(x: Node, w: Node, b: Node | None = None, activation: str = "identity") -> Node:
@@ -137,47 +108,8 @@ def affine(x: Node, w: Node, b: Node | None = None, activation: str = "identity"
     return Node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
-def _wrap(x) -> Node:
-    return x if isinstance(x, Node) else Node(x, requires_grad=False)
-
-
-def _bias_broadcast(shape_a, shape_b) -> bool:
-    """Allow (m, d) + (d,) / (1, d) row-bias style broadcasts only."""
-    big, small = (shape_a, shape_b) if len(shape_a) >= len(shape_b) else (shape_b, shape_a)
-    return small in ((), (1,)) or len(big) == 2 and small in ((big[1],), (1, big[1]))
-
-
-def _unbroadcast(grad, shape):
-    """Sum a gradient back to the shape of a broadcast operand: one of size 1
-    (of any rank) or a row bias (see ``_bias_broadcast``). A scalar gradient
-    (from ``reduce_sum``) broadcasts where the caller stores it."""
-    if grad.shape == shape or grad.shape == ():
-        return grad
-    if math.prod(shape) == 1:
-        return grad.sum().reshape(shape)
-    return grad.sum(axis=0).reshape(shape)
-
-
 def constant(x) -> Node:
     return Node(x, requires_grad=False)
-
-
-def relu(a: Node) -> Node:
-    return Node(np.maximum(a.value, 0.0), (a,), lambda g: ((a.value > 0.0) * g,))
-
-
-def tanh(a: Node) -> Node:
-    t = np.tanh(a.value)
-    return Node(t, (a,), lambda g: ((1.0 - t * t) * g,))
-
-
-def exp(a: Node) -> Node:
-    e = np.exp(a.value)
-    return Node(e, (a,), lambda g: (e * g,))
-
-
-def square(a: Node) -> Node:
-    return Node(a.value**2, (a,), lambda g: (2.0 * a.value * g,))
 
 
 def clamp(a: Node, lo: float, hi: float) -> Node:
@@ -195,7 +127,3 @@ def row_softmax(a: Node) -> Node:
 
 def transpose(a: Node) -> Node:
     return Node(a.value.T, (a,), lambda g: (g.T,))
-
-
-def reduce_sum(a: Node) -> Node:
-    return Node(a.value.sum(), (a,), lambda g: (g,))

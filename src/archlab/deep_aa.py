@@ -161,12 +161,8 @@ class DeepAaModel:
         a = ad.row_softmax(self.a_head.forward(h))
         b_logits = self.b_head.forward(h)
         logvar = ad.clamp(self.logvar_head.forward(h), LOGVAR_MIN, LOGVAR_MAX)
-        mu = a @ ad.constant(self.frame.vertices)
+        mu = ad.affine(a, ad.constant(self.frame.vertices))
         return a, b_logits, logvar, mu
-
-    def _encode_nodes(self, x: ad.Node):
-        a, b_logits, logvar, mu = self._heads(x)
-        return a, _batch_softmax(b_logits), logvar, mu
 
     def _loss_nodes(self, x_batch: np.ndarray, y_batch, lam: float,
                     noise: np.ndarray):
@@ -178,7 +174,8 @@ class DeepAaModel:
     def _objective(self, x_batch, y_batch, lam, noise):
         """The graph of _loss_nodes, plus the batch's reconstruction residual
         as an array (train() refits ``noise_var`` from it)."""
-        a, b, logvar, mu = self._encode_nodes(ad.constant(x_batch))
+        a, b_logits, logvar, mu = self._heads(ad.constant(x_batch))
+        b = _batch_softmax(b_logits)
         kl = _kl(mu, logvar)
         t = _sample(mu, logvar, noise)
         x_hat = self.decoder.forward(t)

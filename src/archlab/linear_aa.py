@@ -163,15 +163,19 @@ def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
 
     Starts from a seeded random row, greedily adds the row maximizing the
     summed distance to the current selection, then replaces the arbitrary
-    starting row by one more greedy pick.
+    starting row by one more greedy pick; the sum runs, in O(n (p + k)) memory.
     """
-    chosen = [int(rng_create(seed).integers(x.shape[0]))]
+    chosen, columns, summed = [int(rng_create(seed).integers(x.shape[0]))], [], 0.0
+    d = np.empty(x.shape)  # a pick's squared differences, the one n x p temporary
     for pick in range(k if k > 1 else 0):
+        np.square(np.subtract(x, x[chosen[-1]], out=d), out=d)
+        columns.append(np.sqrt(d.sum(axis=1)))
+        summed = summed + columns[-1]
         if pick == k - 1:  # the last pick replaces the arbitrary start
-            chosen.pop(0)
-        d = np.linalg.norm(x[:, None, :] - x[chosen], axis=2).sum(axis=1)
-        d[chosen] = -np.inf
-        chosen.append(int(np.argmax(d)))
+            del chosen[0], columns[0]
+            summed = sum(columns)  # summed again, in pick order
+        summed[chosen] = -np.inf  # a chosen row stays at -inf, never picked again
+        chosen.append(int(np.argmax(summed)))
     return np.array(chosen)
 
 
@@ -187,8 +191,7 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     z = b @ x
     rss_prev = float(np.sum((x - a @ z) ** 2))
     history = [rss_prev]
-    converged = False
-    beta = _BETA_START
+    converged, beta = False, _BETA_START
     for _ in range(cfg.max_outer_iters):
         a_old, b_old = a, b.copy()  # the B-step writes rows of b in place
         a = _active_set(a.T, x, z)[0].T
@@ -218,10 +221,8 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
             break
     check_finite(a, "A")
     check_finite(b, "B")
-    return LinearAaModel(
-        a=a, b=b, z=z, rss=rss_prev, iterations=len(history) - 1,
-        converged=converged, rss_history=history,
-    )
+    return LinearAaModel(a=a, b=b, z=z, rss=rss_prev, iterations=len(history) - 1,
+                         converged=converged, rss_history=history)
 
 
 def transform(x, z) -> np.ndarray:

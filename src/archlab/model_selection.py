@@ -9,6 +9,7 @@ one after another in one process.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .errors import (ArchlabError, DimensionError, InsufficientPoints, Parameter
 from .numerics import check_seed, rng_create
 
 TEST_FRACTION = 0.1
+# detect_elbow's bound on a relative improvement that still counts as converged
+ELBOW_THRESHOLD = 0.05
 
 
 @dataclass
@@ -88,7 +91,7 @@ def _deep_test_mse(dataset, k, cfg, seed):
 def _fit_one(fit, dataset, k, cfg, seed):
     """One k of a sweep, run in a worker process: its loss and stop (None
     for a failed fit), why it failed, the warnings it raised as
-    (message, category, filename, lineno), and its seconds. The fitter is
+    (message, category, filename, lineno, module), and its seconds. The fitter is
     looked up by name here, in the forked copy of this module, so one
     replaced on the module before the sweep is the one that runs."""
     started = time.perf_counter()
@@ -99,7 +102,11 @@ def _fit_one(fit, dataset, k, cfg, seed):
             loss, stop = globals()[f"_{fit}_test_mse"](dataset, k, cfg, seed)
         except ArchlabError as exc:
             failure = f"{type(exc).__name__}: {exc}"
-    raised = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    # warnings.warn names a warning's module by the __name__ of the frame it
+    # is raised in: the module whose file that frame runs
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
+    raised = [(str(w.message), w.category, w.filename, w.lineno, modules.get(w.filename))
+              for w in caught]
     return loss, stop, failure, raised, time.perf_counter() - started
 
 
@@ -117,8 +124,9 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     process's affinity mask and at most one per k, largest k first, as the
     largest fits take longest. The curve is identical to a serial sweep's.
     ``seconds`` holds each k's fit time, measured in its worker. Warnings a
-    fit raises are raised again here, in k order; any error other than an
-    ArchlabError propagates. No worker outlives the call.
+    fit raises are raised again here, in k order and under the module that
+    raised them, so filters apply as in a serial sweep; any error other than
+    an ArchlabError propagates. No worker outlives the call.
     """
     ks = list(ks)
     if not ks:
@@ -163,8 +171,8 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
             pool.shutdown(cancel_futures=True)
     registry = {}  # a warning repeated across the fits is shown once
     for k, (loss, stop, failure, raised, seconds) in zip(ks, results):
-        for message, category, filename, lineno in raised:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        for message, category, filename, lineno, module in raised:
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
         curve.losses.append(loss)
         if failure is not None:
             curve.failures[k] = failure
@@ -179,9 +187,9 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     return curve
 
 
-def detect_elbow(curve: SelectionCurve, rel_threshold: float = 0.05) -> int:
+def detect_elbow(curve: SelectionCurve) -> int:
     """Smallest k from which every subsequent relative improvement stays at
-    or below ``rel_threshold``. Invariant under scaling all losses."""
+    or below ELBOW_THRESHOLD. Invariant under scaling all losses."""
     points = [(k, l) for k, l in zip(curve.ks, curve.losses) if l is not None]
     if len(points) < 3:
         raise InsufficientPoints(f"elbow detection needs >= 3 points, got {len(points)}")
@@ -195,7 +203,7 @@ def detect_elbow(curve: SelectionCurve, rel_threshold: float = 0.05) -> int:
                        / losses[:-1][meaningful])
     # tiny slack so an improvement of exactly the threshold counts as
     # converged despite floating-point rounding of the ratio
-    slack = rel_threshold + 1e-12
+    slack = ELBOW_THRESHOLD + 1e-12
     for i in range(len(rel)):
         if np.all(rel[i:] <= slack):
             return points[i][0]

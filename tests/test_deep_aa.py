@@ -16,7 +16,7 @@ from archlab.errors import (
 )
 from archlab.numerics import rng_create, simplex_vertices
 
-from test_autodiff import check_grad
+from test_autodiff import check_grad, total
 from test_numerics import barycentric_in_hull
 
 
@@ -129,7 +129,8 @@ class TestEncode:
         model = DeepAaModel(DeepAaArch(input_dim=4, k=3), seed=1)
         x = rng_create(3).standard_normal((n, 4))
         got = model.encode(x)
-        want = [node.value for node in model._encode_nodes(ad.constant(x))]
+        a, b_logits, logvar, mu = model._heads(ad.constant(x))
+        want = [node.value for node in (a, deep_aa._batch_softmax(b_logits), logvar, mu)]
         for g, w in zip(got, want):
             # BLAS may round a chunk's narrow head products apart from the
             # whole matrix's; near-zero entries are held to the array's scale
@@ -274,23 +275,35 @@ EPS, PROBE, TARGET, LABELS = (rng_create(30 + i).standard_normal(s)
                               for i, s in enumerate([(5, 2), (5, 2), (5, 3), (5, 1)]))
 WEIGHTS = rng_create(35).uniform(0.5, 2.0, size=3)
 
-# term -> (input shapes, the term as one node, the same term composed of
-# elementwise nodes as the model built it before each term became one node)
+
+def _archetype_oracle(a, b):
+    """||V - B A V||^2 and its gradients: with M = B A and R = V - M V, the
+    gradient with respect to M is -2 R V^T, so A's is B^T dM and B's dM A^T."""
+    r = V3 - np.einsum("ij,jk,kl->il", b, a, V3)
+    d_m = -2.0 * np.einsum("ij,kj->ik", r, V3)
+    return np.sum(r * r), [np.einsum("ji,jk->ik", b, d_m), np.einsum("ij,kj->ik", d_m, a)]
+
+
+# term -> (input shapes, the term as one node, an oracle: the same term's
+# value and its gradient per input, composed in plain NumPy on the inputs'
+# arrays with each gradient derived by hand)
 FUSED_TERMS = {
     "kl": ([(5, 2), (5, 2)], deep_aa._kl,
-           lambda mu, lv: (0.5 / 5) * ad.reduce_sum(ad.exp(lv) + ad.square(mu) - 1.0 - lv)),
+           lambda mu, lv: ((0.5 / 5) * np.sum(np.exp(lv) + mu**2 - 1.0 - lv),
+                           [mu / 5, (0.5 / 5) * (np.exp(lv) - 1.0)])),
     "sample": ([(5, 2), (5, 2)],
-               lambda mu, lv: ad.reduce_sum(deep_aa._sample(mu, lv, EPS) * PROBE),
-               lambda mu, lv: ad.reduce_sum((mu + ad.exp(lv * 0.5) * EPS) * PROBE)),
+               lambda mu, lv: total(deep_aa._sample(mu, lv, EPS), PROBE),
+               lambda mu, lv: (np.sum((mu + np.exp(lv / 2) * EPS) * PROBE),
+                               [PROBE, PROBE * EPS * np.exp(lv / 2) / 2])),
     "recon": ([(5, 3)], lambda x_hat: deep_aa._squared_error(TARGET - x_hat.value, x_hat, WEIGHTS),
-              lambda x_hat: (0.5 / 5) * ad.reduce_sum(
-                  ad.square(ad.constant(TARGET) - x_hat) @ ad.constant(WEIGHTS[:, None]))),
+              lambda x_hat: ((0.5 / 5) * np.sum((TARGET - x_hat) ** 2 * WEIGHTS),
+                             [(x_hat - TARGET) * WEIGHTS / 5])),
     "side": ([(5, 1)], lambda y_hat: deep_aa._squared_error(LABELS - y_hat.value, y_hat, np.ones(1)),
-             lambda y_hat: (0.5 / 5) * ad.reduce_sum(ad.square(ad.constant(LABELS) - y_hat))),
-    "archetype": ([(5, 3), (3, 5)], lambda a, b: deep_aa._archetype(a, b, V3),
-                  lambda a, b: ad.reduce_sum(ad.square(ad.constant(V3) - (b @ a) @ ad.constant(V3)))),
+             lambda y_hat: ((0.5 / 5) * np.sum((LABELS - y_hat) ** 2), [(y_hat - LABELS) / 5])),
+    "archetype": ([(5, 3), (3, 5)], lambda a, b: deep_aa._archetype(a, b, V3), _archetype_oracle),
     "total": ([(), (), (), ()], lambda *terms: deep_aa._weighted_sum(terms, [1.0, 1.3, 64.0, 0.7]),
-              lambda kl, recon, at, side: kl + 1.3 * recon + 64.0 * at + 0.7 * side),
+              lambda kl, recon, at, side: (kl + 1.3 * recon + 64.0 * at + 0.7 * side,
+                                           [1.0, 1.3, 64.0, 0.7])),
 }
 
 
@@ -305,14 +318,11 @@ class TestFusedTerms:
         shapes, fused, composed = FUSED_TERMS[name]
         rng = rng_create(36)
         nodes = [ad.Node(rng.standard_normal(s)) for s in shapes]
-        results = []
-        for build in (fused, composed):
-            for node in nodes:
-                node.zero_grad()
-            out = build(*nodes)
-            out.backward()
-            results.append([out.value] + [node.grad.copy() for node in nodes])
-        for got, want in zip(*results):
+        out = fused(*nodes)
+        out.backward()
+        value, grads = composed(*[node.value for node in nodes])
+        for got, want in zip([out.value] + [node.grad for node in nodes], [value] + grads):
+            want = np.broadcast_to(want, np.shape(got))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
     @pytest.mark.parametrize("side_hidden, most", [(None, 20), ((16,), 23)])

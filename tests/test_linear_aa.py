@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,30 @@ class TestFurthestSum:
         x = rng_create(3).standard_normal((30, 2))
         idx = linear_aa.furthest_sum_indices(x, 5, seed=0)
         assert len(set(idx.tolist())) == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_matches_sums_over_all_picks(self, k):
+        # every pick maximizes the distance summed over the current picks,
+        # here summed afresh for each pick from an (n, picks, p) array
+        x = rng_create(4).standard_normal((200, 4))
+        chosen = [int(rng_create(9).integers(len(x)))]
+        for pick in range(k if k > 1 else 0):
+            if pick == k - 1:
+                chosen.pop(0)
+            d = np.linalg.norm(x[:, None, :] - x[chosen], axis=2).sum(axis=1)
+            d[chosen] = -np.inf
+            chosen.append(int(np.argmax(d)))
+        np.testing.assert_array_equal(linear_aa.furthest_sum_indices(x, k, seed=9), chosen)
+
+    def test_peak_memory_grows_with_the_data_not_with_k(self):
+        x = rng_create(5).standard_normal((4000, 64))
+        tracemalloc.start()
+        try:
+            linear_aa.furthest_sum_indices(x, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
 
 class TestFit:

@@ -1,6 +1,7 @@
 import copy
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestSweep:
             model_selection.sweep(convex_dataset(n=20), [2, 3], fit="deep", cfg=cfg)
         assert [str(w.message) for w in caught if w.category is UserWarning] == [
             "batch size 2 below k=3; the batch-axis softmax cannot span all archetypes"]
+        # a filter on the module the fit raised it under hides it, as it
+        # hides the same fit's warning in this process
+        ds = convex_dataset(n=20)
+        for run in (lambda: model_selection._deep_test_mse(ds, 3, cfg, 0),
+                    lambda: model_selection.sweep(ds, [2, 3], fit="deep", cfg=cfg)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.filterwarnings("ignore", category=UserWarning,
+                                        module="archlab.model_selection")
+                run()
+            assert not [w for w in caught if w.category is UserWarning]
 
     @pytest.mark.parametrize("ks, seed, message", [
         ([-1, 2], 0, "at least 1, got -1"),
@@ -212,8 +224,9 @@ class TestDetectElbow:
 
     def test_threshold_boundary_counts_as_converged(self):
         # an improvement of exactly the threshold does not block the elbow
-        curve = SelectionCurve(ks=[1, 2, 3], losses=[10.0, 1.0, 0.95])
-        assert model_selection.detect_elbow(curve, rel_threshold=0.05) == 2
+        curve = SelectionCurve(ks=[1, 2, 3],
+                               losses=[10.0, 1.0, 1.0 - model_selection.ELBOW_THRESHOLD])
+        assert model_selection.detect_elbow(curve) == 2
 
 
 class TestCurveRows:

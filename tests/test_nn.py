@@ -8,6 +8,8 @@ from archlab import nn
 from archlab.errors import ParameterError, ShapeError
 from archlab.numerics import rng_create
 
+from test_autodiff import squared_loss, total
+
 
 class TestMlp:
     def test_forward_shape(self):
@@ -62,7 +64,7 @@ class TestMlp:
     def test_gradients_flow_to_all_parameters(self):
         mlp = nn.Mlp([3, 6, 2], activation="tanh", rng=rng_create(6))
         x = ad.Node(rng_create(7).standard_normal((5, 3)))
-        loss = ad.reduce_sum(ad.square(mlp.forward(x)))
+        loss = squared_loss(mlp.forward(x))
         loss.backward()
         for p in mlp.parameters():
             assert np.any(p.grad != 0.0)
@@ -114,7 +116,7 @@ class TestAdam:
             for net in (flat, loop):
                 for p in net.parameters():
                     p.zero_grad()
-                ad.reduce_sum(ad.square(net.forward(ad.constant(x)) - y)).backward()
+                squared_loss(net.forward(ad.constant(x)), y).backward()
             flat_opt.step()
             loop_opt.step()
             for p, q in zip(flat.parameters(), loop.parameters()):
@@ -137,7 +139,7 @@ class TestAdam:
         opt = nn.Adam([w], lr=0.05)
         for _ in range(500):
             opt.zero_grad()
-            loss = ad.reduce_sum(ad.square(w - target))
+            loss = squared_loss(w, target)
             loss.backward()
             opt.step()
         np.testing.assert_allclose(w.value, target, atol=1e-3)
@@ -147,7 +149,7 @@ class TestAdam:
         w = ad.Node(np.array([[10.0]]))
         opt = nn.Adam([w], lr=0.1)
         opt.zero_grad()
-        ad.reduce_sum(w).backward()
+        total(w).backward()
         opt.step()
         assert w.value[0, 0] == pytest.approx(10.0 - 0.1, abs=1e-6)
 
@@ -158,7 +160,7 @@ class TestAdam:
         opt = nn.Adam([w], lr=0.5, eps=0.0)
         for step in range(3):
             opt.zero_grad()
-            ad.reduce_sum(w).backward()
+            total(w).backward()
             opt.step()
             assert w.value[0, 0] == pytest.approx(-0.5 * (step + 1), abs=1e-12)
 
@@ -171,9 +173,7 @@ class TestAdam:
         first = None
         for _ in range(300):
             opt.zero_grad()
-            loss = ad.reduce_sum(
-                ad.square(mlp.forward(ad.Node(x_data)) - y_data)
-            ) * (1.0 / y_data.size)
+            loss = squared_loss(mlp.forward(ad.Node(x_data)), y_data, 1.0 / y_data.size)
             loss.backward()
             opt.step()
             first = first if first is not None else float(loss.value)
