@@ -12,7 +12,9 @@ comment is a ParseError. The header is read as CSV, so quoted names work.
 Every JSON file is read by :func:`read_json` and written by
 :func:`write_json`. Each model class owns its JSON form (``to_dict`` and
 ``from_dict``); :func:`write_model` and :func:`read_model` frame it with the
-schema version and the model kind.
+schema version and the model kind. Schema 2 stores a deep model as its arch
+plus one flat list of its parameters; a file of any other version raises
+SchemaVersionError.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
 )
 from .numerics import rng_create, rng_dirichlet_matrix, simplex_vertices
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_CHUNK_ROWS = 4096  # rows formatted per write, about 1 MB of text at p = 9
 
 # spread of the latent archetype polytope before embedding; large enough
@@ -79,11 +81,12 @@ class SyntheticSpec:
         if not self.sigma2 >= 0:  # NaN too
             raise ParameterError(f"sigma2 must be >= 0, got {self.sigma2}")
         if self.alpha is not None:
-            try:
-                alpha = np.asarray(self.alpha, float)
-            except (TypeError, ValueError) as exc:
+            if not isinstance(self.alpha, (list, tuple, np.ndarray)):
                 raise ParameterError(
-                    f"field 'alpha' must be a list of numbers: {exc}") from exc
+                    f"field 'alpha' must be a list of numbers, got {self.alpha!r}")
+            for v in self.alpha:
+                check_value("alpha", v, float)
+            alpha = np.asarray(self.alpha, float)
             if alpha.shape != (self.k,) or not np.all(alpha > 0):
                 raise ParameterError(
                     f"alpha must be a k-vector of positive concentrations, got {self.alpha!r}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -69,8 +68,9 @@ class DeepAaArch:
             widths = getattr(self, name)
             if widths is None and name == "side_hidden":
                 continue
-            if not isinstance(widths, (list, tuple)) or not all(
-                    isinstance(w, Integral) and w >= 1 for w in widths):
+            for w in widths if isinstance(widths, (list, tuple)) else ():
+                check_value(name, w, int)
+            if not isinstance(widths, (list, tuple)) or not all(w >= 1 for w in widths):
                 raise ParameterError(
                     f"field '{name}' must be a list of positive layer widths, got {widths!r}")
             object.__setattr__(self, name, tuple(widths))
@@ -142,11 +142,6 @@ class DeepAaModel:
         self.noise_var = np.ones(arch.input_dim)
         self.at_weight = 1.0
         self.side_weight = 1.0
-        self.trained = False
-
-    @property
-    def has_side(self) -> bool:
-        return self.side_head is not None
 
     def parameters(self):
         nets = (getattr(self, name) for name in _NETWORKS)
@@ -221,47 +216,35 @@ class DeepAaModel:
         return x_hat, y_hat
 
     def to_dict(self) -> dict:
-        nets = {name: getattr(self, name) for name in _NETWORKS}
+        """The file form: the arch, every parameter value as one flat list in
+        :meth:`parameters` order, and the state train() fits; not the history."""
         return {
             "arch": self.arch.to_dict(),
-            **{name: None if net is None else net.state() for name, net in nets.items()},
+            "parameters": np.concatenate([p.value.ravel() for p in self.parameters()]).tolist(),
             "median_logvar": self.median_logvar.tolist(),
             "noise_var": self.noise_var.tolist(),
             "at_weight": self.at_weight,
             "side_weight": self.side_weight,
-            "history": self.history,
-            "trained": self.trained,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "DeepAaModel":
         """Load a model saved by :meth:`to_dict` into the networks its arch
-        builds. Raises ShapeError when the saved layers do not fit them."""
+        builds. Raises ShapeError unless ``parameters`` holds exactly as many
+        numbers as they take, NumericalError on a non-finite number, and
+        ParameterError on loss weights DeepAaHyper rejects or noise below NOISE_VAR_MIN."""
         model = DeepAaModel(build_config(DeepAaArch, d["arch"], "arch"))
-        for name in _NETWORKS:
-            net, state = getattr(model, name), d.get(name)
-            if (net is None) != (state is None):
-                raise ShapeError(f"'{name}' is in the {'arch' if state is None else 'file'} only")
-            if net is None:
-                continue
-            if (state["activation"], state["output_activation"]) != (
-                    net.activation, net.output_activation):
-                raise ShapeError(f"'{name}' activations differ from the arch's")
-            weights, biases = state["weights"], state["biases"]
-            if (len(weights), len(biases)) != (len(net.weights), len(net.biases)):
-                raise ShapeError(f"'{name}' has {len(weights)} weight and {len(biases)} bias "
-                                 f"arrays, the arch builds {len(net.weights)} of each")
-            for node, value in zip(net.parameters(), weights + biases):
-                node.value[...] = _saved_array(value, node.value.shape, f"a '{name}' array")
-        # models saved without noise_var or the loss weights were trained with
-        # unit noise and unit loss weights, which a new DeepAaModel starts with
+        params = model.parameters()
+        sizes = [p.value.size for p in params]
+        flat = _saved_array(d["parameters"], (sum(sizes),), "parameters")
+        for p, values in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
+            p.value[...] = values.reshape(p.value.shape)
         for name in ("median_logvar", "noise_var"):
-            built = getattr(model, name)
-            setattr(model, name, _saved_array(d.get(name, built), built.shape, name))
-        model.at_weight = float(d.get("at_weight", 1.0))
-        model.side_weight = float(d.get("side_weight", 1.0))
-        model.history = list(d.get("history", []))
-        model.trained = bool(d.get("trained", False))
+            setattr(model, name, _saved_array(d[name], getattr(model, name).shape, name))
+        if model.noise_var.min() < NOISE_VAR_MIN:
+            raise ParameterError(f"noise_var must be >= {NOISE_VAR_MIN}, got {model.noise_var}")
+        hyper = DeepAaHyper(at_weight=d["at_weight"], side_weight=d["side_weight"])
+        model.at_weight, model.side_weight = hyper.at_weight, hyper.side_weight
         return model
 
 
@@ -374,7 +357,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
     n = x.shape[0]
     if n == 0:
         raise ParameterError("cannot train on an empty dataset")
-    if model.has_side and y is None:
+    if model.side_head is not None and y is None:
         raise ParameterError("model has a side head but the dataset has no labels")
     if hyper.batch < model.arch.k:
         warnings.warn(
@@ -394,7 +377,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             idx = order[start:start + hyper.batch]
             xb = x[idx]
             yb = None if y is None else y[idx]
-            lam = _lambda_at(hyper, step, scheduled=model.has_side)
+            lam = _lambda_at(hyper, step, scheduled=model.side_head is not None)
             noise = rng.standard_normal((xb.shape[0], model.arch.latent_dim))
             total, parts, residual = model._objective(xb, yb, lam, noise)
             if not np.isfinite(total.value):
@@ -414,7 +397,6 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
             step += 1
     _, _, logvar, _ = model.encode(x)
     model.median_logvar = np.median(logvar, axis=0)
-    model.trained = True
     return model
 
 

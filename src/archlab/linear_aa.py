@@ -80,7 +80,7 @@ class LinearAaModel:
         return LinearAaModel(
             a=a, b=b, z=z, rss=float(d["rss"]),
             iterations=int(d["iterations"]), converged=bool(d["converged"]),
-            rss_history=list(d.get("rss_history", [])),
+            rss_history=list(d["rss_history"]),
         )
 
 

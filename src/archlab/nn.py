@@ -21,7 +21,6 @@ class Mlp:
             raise ParameterError("an MLP needs at least input and output sizes")
         if activation not in ad.ACTIVATIONS or output_activation not in ad.ACTIVATIONS:
             raise ParameterError(f"unknown activation '{activation}'/'{output_activation}'")
-        self.sizes = list(sizes)
         self.activation = activation
         self.output_activation = output_activation
         rng = rng if rng is not None else rng_create(0)
@@ -42,15 +41,6 @@ class Mlp:
         for w, b, act in zip(self.weights, self.biases, acts):
             x = ad.affine(x, w, b, act)
         return x
-
-    def state(self):
-        return {
-            "sizes": self.sizes,
-            "activation": self.activation,
-            "output_activation": self.output_activation,
-            "weights": [w.value.tolist() for w in self.weights],
-            "biases": [b.value.tolist() for b in self.biases],
-        }
 
 
 class Adam:

@@ -11,7 +11,7 @@ import pytest
 
 from archlab import cli, datasets, deep_aa, linear_aa
 
-from test_datasets import MISFIT_DEEP_MODELS, deep_model_payload
+from test_datasets import MALFORMED_MODELS, MISFIT_DEEP_MODELS, deep_model_payload
 
 
 def run(*argv):
@@ -430,20 +430,25 @@ class TestInterpolateAndSample:
                    "--from", "1,0", "--to", "0,1", "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("payload", [
-        [1],
-        {"schema_version": 1, "kind": "linear_aa"},
-        {"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 3, "k": 3},
-         "trunk": [1]},
-        *(deep_model_payload(edit) for edit in MISFIT_DEEP_MODELS.values()),
-    ], ids=["not-an-object", "missing-key", "bad-layer-state", *MISFIT_DEEP_MODELS])
-    def test_malformed_model_exits_config(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("case", ["not-an-object", "missing-key", "bad-layer-state",
+                                      *MISFIT_DEEP_MODELS])
+    def test_malformed_model_exits_config(self, tmp_path, capsys, case):
         model = tmp_path / "m.json"
-        model.write_text(json.dumps(payload))
+        model.write_text(MALFORMED_MODELS[case] if case in MALFORMED_MODELS
+                         else json.dumps(deep_model_payload(MISFIT_DEEP_MODELS[case])))
         code = run("interpolate", "--model", model, "--from", "1,0,0",
                    "--to", "0,0,1", "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
         assert str(model) in capsys.readouterr().err
+
+    def test_schema_one_model_exits_config(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(deep_model_payload(lambda d: d.update(schema_version=1))))
+        code = run("interpolate", "--model", model, "--from", "1,0,0",
+                   "--to", "0,0,1", "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "schema version 1 unsupported" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sample_deterministic_with_noise(self, tmp_path, deep_model_path):
         rows = []
@@ -516,11 +521,13 @@ class TestPlot:
 
 
 def run_with_config(tmp_path, capsys, command, option, payload):
-    """Run ``command`` with ``payload`` as the JSON file given to ``option``;
-    output captured before the command runs is discarded."""
+    """Run ``command`` (a subcommand, then any options of its own) with
+    ``payload`` as the JSON file given to ``option``; output captured before
+    the command runs is discarded."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
-    extra = {"gen-data": [], "sweep": ["--ks", "1,2"], "fit-deep": ["--k", 3]}[command]
+    command, *extra = command.split()
+    extra += {"gen-data": [], "sweep": ["--ks", "1,2"], "fit-deep": ["--k", 3]}[command]
     if extra:
         extra += ["--data", gen_dataset(tmp_path)]
     capsys.readouterr()
@@ -556,6 +563,12 @@ def run_with_config(tmp_path, capsys, command, option, payload):
     ("fit-deep", "--arch", {"k": 3}, "k"),
     ("fit-deep", "--arch", {"input_dim": 4}, "input_dim"),
     ("fit-deep", "--hyper", {"seed": 1}, "seed"),
+    # each item of a list field is checked as a field of its own
+    ("fit-deep", "--arch", {"encoder_hidden": [True]}, "encoder_hidden"),
+    ("fit-deep", "--arch", {"decoder_hidden": [8, 2.5]}, "decoder_hidden"),
+    ("sweep --fit deep", "--config", {"arch": {"decoder_hidden": [True, 4]}},
+     "decoder_hidden"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "alpha": [True, "2", 3]}, "alpha"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):

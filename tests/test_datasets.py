@@ -38,7 +38,10 @@ class TestSyntheticSpec:
         {"alpha": [1.0, 0.0, 1.0]},  # not positive
         {"alpha": [1.0, "one", 1.0]},
         {"p": 0, "k": 1},
-    ], ids=["negative-sigma2", "alpha-length", "alpha-zero", "alpha-not-numbers", "p-zero"])
+        {"alpha": [True, 2.0, 3.0]},
+        {"alpha": "123"},
+    ], ids=["negative-sigma2", "alpha-length", "alpha-zero", "alpha-not-numbers", "p-zero",
+            "alpha-boolean", "alpha-string"])
     def test_rejects_bad_generator_input(self, fields):
         with pytest.raises(ParameterError):
             SyntheticSpec(**{"n": 10, "p": 2, "k": 3, **fields})
@@ -422,24 +425,72 @@ class TestCsvRoundTrip:
 
 def deep_model_payload(edit):
     """The file form of a small untrained deep model (input_dim 4, k 3, one
-    hidden layer of 8 each side), changed in place by ``edit``."""
+    hidden layer of 8 each side, no side head), changed in place by ``edit``."""
     arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,), decoder_hidden=(8,))
-    payload = {"schema_version": 1, "kind": "deep_aa", **deep_aa.DeepAaModel(arch).to_dict()}
+    payload = {"schema_version": datasets.SCHEMA_VERSION, "kind": "deep_aa",
+               **deep_aa.DeepAaModel(arch).to_dict()}
     edit(payload)
     return payload
 
 
+def _offset(name):
+    """Where the parameters of the network ``name`` of deep_model_payload's
+    model start in its flat ``parameters`` list."""
+    arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,), decoder_hidden=(8,))
+    model = deep_aa.DeepAaModel(arch)
+    before = model.parameters().index(getattr(model, name).weights[0])
+    return sum(p.value.size for p in model.parameters()[:before])
+
+
 # edits after which a deep model file no longer fits the networks its arch
 # builds, or holds a number no trained model has; each has to fail loading
-# rather than leave random, broadcast or non-finite weights
+# rather than leave random, broadcast or non-finite weights. The tests take
+# an edit by name and apply it in their body.
 MISFIT_DEEP_MODELS = {
-    "truncated-decoder": lambda d: d["decoder"]["weights"].pop(),
-    "broadcastable-weight": lambda d: d["decoder"]["weights"][0].pop(),  # (2, 8) -> (1, 8)
-    "decoder-too-wide": lambda d: d.update(decoder=nn.Mlp([2, 8, 5]).state()),
-    "side-head-not-in-arch": lambda d: d.update(side_head=nn.Mlp([2, 4, 1]).state()),
-    "nan-decoder-weight": lambda d: d["decoder"]["weights"][0][0].__setitem__(0, float("nan")),
+    # the decoder's output bias, the last 4 numbers, is missing
+    "truncated-decoder": lambda d: d.update(parameters=d["parameters"][:-4]),
+    # one row of the decoder's (2, 8) first weight, which a reshape would
+    # broadcast: 8 numbers short
+    "broadcastable-weight": lambda d: d["parameters"].__delitem__(
+        slice(_offset("decoder"), _offset("decoder") + 8)),
+    # a fifth output: 8 more weights and 1 more bias
+    "decoder-too-wide": lambda d: d["parameters"].extend([0.0] * 9),
+    # the numbers of a (2, 4, 1) side head the arch does not have
+    "side-head-not-in-arch": lambda d: d["parameters"].extend(
+        [0.0] * sum(p.value.size for p in nn.Mlp([2, 4, 1]).parameters())),
+    "nan-decoder-weight": lambda d: d["parameters"].__setitem__(
+        _offset("decoder"), float("nan")),
     "inf-median-logvar": lambda d: d.update(median_logvar=[float("inf"), 0.0]),
+    "zero-noise-var": lambda d: d.update(noise_var=[0, 0, 0, 0]),
+    "nan-at-weight": lambda d: d.update(at_weight=float("nan")),
 }
+
+
+def model_text(**fields):
+    """A model file of the current schema version holding ``fields``."""
+    return json.dumps({"schema_version": datasets.SCHEMA_VERSION, **fields})
+
+
+LINEAR_FIELDS = {"a": [[1]], "b": [[1]], "z": [[1]], "rss": 0, "iterations": 1,
+                 "converged": True, "rss_history": [0]}
+
+# model files that read_model must reject with a ParseError naming the file,
+# apart from MISFIT_DEEP_MODELS
+MALFORMED_MODELS = {
+    "not-an-object": "[1]",
+    "missing-key": model_text(kind="linear_aa"),
+    "bad-value": model_text(kind="linear_aa", **{**LINEAR_FIELDS, "rss": "low"}),
+    "bad-layer-state": model_text(kind="deep_aa", arch={"input_dim": 2, "k": 2},
+                                  parameters=5),
+    # Z's one row does not fit A's two columns
+    "misfit-linear-shapes": model_text(kind="linear_aa", **{
+        **LINEAR_FIELDS, "a": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]], "z": [[1, 2]]}),
+    "nan-linear-z": model_text(kind="linear_aa", **{**LINEAR_FIELDS, "z": [[math.nan]]}),
+    "inf-linear-b": model_text(kind="linear_aa", **{**LINEAR_FIELDS, "b": [[math.inf]]}),
+    "linear-without-rss-history": model_text(kind="linear_aa", **{
+        name: value for name, value in LINEAR_FIELDS.items() if name != "rss_history"}),
+}
+DEEP_MODEL_EDITS = {**MISFIT_DEEP_MODELS, "arch-without-k": lambda d: d["arch"].pop("k")}
 
 
 def assert_rewrite_gives_same_bytes(model, path):
@@ -447,6 +498,10 @@ def assert_rewrite_gives_same_bytes(model, path):
     datasets.write_model(model, again)
     with open(path, "rb") as first, open(again, "rb") as second:
         assert first.read() == second.read()
+
+
+DEEP_MODEL_KEYS = {"schema_version", "kind", "arch", "parameters", "median_logvar",
+                   "noise_var", "at_weight", "side_weight"}
 
 
 class TestModelRoundTrip:
@@ -461,23 +516,49 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(back.z, model.z)
         assert back.rss == model.rss
         assert back.converged == model.converged
+        assert back.rss_history == model.rss_history
         assert_rewrite_gives_same_bytes(back, path)
 
     def test_deep_model(self, tmp_path):
-        ds = datasets.make_synthetic(SyntheticSpec(n=60, p=4, k=3))
+        # a loaded model encodes, decodes and generates as the trained one,
+        # bit for bit, side head and fitted noise included
+        spec = SyntheticSpec(n=60, p=4, k=3, warp="exp", warp_dim=0)
+        ds = datasets.make_side_info(datasets.make_synthetic(spec))
         arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,),
-                                  decoder_hidden=(8,))
+                                  decoder_hidden=(8,), side_hidden=(4,))
         model = deep_aa.DeepAaModel(arch, seed=0)
-        deep_aa.train(model, ds, deep_aa.DeepAaHyper(epochs=1, batch=20))
+        deep_aa.train(model, ds, deep_aa.DeepAaHyper(epochs=1, batch=20, at_weight=3.0))
         path = str(tmp_path / "deep.json")
         datasets.write_model(model, path)
         back = datasets.read_model(path)
         probe = numerics.rng_create(1).standard_normal((5, 4))
-        np.testing.assert_array_equal(back.encode(probe)[3], model.encode(probe)[3])
-        np.testing.assert_array_equal(back.decode(np.zeros((1, 2)))[0],
-                                      model.decode(np.zeros((1, 2)))[0])
-        assert back.trained
+        for got, want in zip(back.encode(probe), model.encode(probe)):
+            np.testing.assert_array_equal(got, want)
+        latent = numerics.rng_create(2).standard_normal((3, 2))
+        for got, want in zip(back.decode(latent), model.decode(latent)):
+            np.testing.assert_array_equal(got, want)
+        mix = [0.2, 0.3, 0.5]
+        for got, want in zip(deep_aa.generate(back, mix, numerics.rng_create(3)),
+                             deep_aa.generate(model, mix, numerics.rng_create(3))):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(back.noise_var, model.noise_var)
+        assert (back.at_weight, back.side_weight) == (3.0, 1.0)
+        assert back.history == []  # history.csv holds it
         assert_rewrite_gives_same_bytes(back, path)
+
+    def test_deep_model_file_is_arch_plus_flat_parameters(self, tmp_path):
+        arch = deep_aa.DeepAaArch(input_dim=4, k=3, encoder_hidden=(8,),
+                                  decoder_hidden=(8,), side_hidden=(4,))
+        model = deep_aa.DeepAaModel(arch, seed=5)
+        path = str(tmp_path / "deep.json")
+        datasets.write_model(model, path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert set(payload) == DEEP_MODEL_KEYS
+        assert payload["schema_version"] == datasets.SCHEMA_VERSION == 2
+        assert deep_aa.DeepAaArch(**payload["arch"]) == arch
+        want = np.concatenate([p.value.ravel() for p in model.parameters()])
+        np.testing.assert_array_equal(payload["parameters"], want)
 
     def test_schema_version_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
@@ -485,35 +566,26 @@ class TestModelRoundTrip:
         with pytest.raises(SchemaVersionError):
             datasets.read_model(str(path))
 
+    def test_schema_one_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(deep_model_payload(
+            lambda d: d.update(schema_version=1))))
+        with pytest.raises(SchemaVersionError, match="schema version 1 unsupported"):
+            datasets.read_model(str(path))
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"schema_version": 1, "kind": "mystery"}')
+        path.write_text(model_text(kind="mystery"))
         with pytest.raises(ParseError):
             datasets.read_model(str(path))
 
-    @pytest.mark.parametrize("text", [
-        "[1]",
-        '{"schema_version": 1, "kind": "linear_aa"}',
-        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[1]],'
-        ' "z": [[1]], "rss": "low", "iterations": 1, "converged": true}',
-        '{"schema_version": 1, "kind": "deep_aa", "arch": {"input_dim": 2, "k": 2},'
-        ' "trunk": 5}',
-        # Z's one row does not fit A's two columns
-        '{"schema_version": 1, "kind": "linear_aa", "a": [[1, 0], [0, 1]],'
-        ' "b": [[1, 0], [0, 1]], "z": [[1, 2]], "rss": 0, "iterations": 1,'
-        ' "converged": true}',
-        json.dumps(deep_model_payload(lambda d: d["arch"].pop("k"))),
-        *(json.dumps(deep_model_payload(edit)) for edit in MISFIT_DEEP_MODELS.values()),
-        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[1]],'
-        ' "z": [[NaN]], "rss": 0, "iterations": 1, "converged": true}',
-        '{"schema_version": 1, "kind": "linear_aa", "a": [[1]], "b": [[Infinity]],'
-        ' "z": [[1]], "rss": 0, "iterations": 1, "converged": true}',
-    ], ids=["not-an-object", "missing-key", "bad-value", "bad-layer-state",
-            "misfit-linear-shapes", "arch-without-k", *MISFIT_DEEP_MODELS,
-            "nan-linear-z", "inf-linear-b"])
-    def test_malformed_model_names_file(self, tmp_path, text):
+    @pytest.mark.parametrize("case", [*MALFORMED_MODELS, *DEEP_MODEL_EDITS])
+    def test_malformed_model_names_file(self, tmp_path, case):
         path = tmp_path / "model.json"
-        path.write_text(text)
+        if case in MALFORMED_MODELS:
+            path.write_text(MALFORMED_MODELS[case])
+        else:
+            path.write_text(json.dumps(deep_model_payload(DEEP_MODEL_EDITS[case])))
         with pytest.raises(ParseError, match=re.escape(str(path))):
             datasets.read_model(str(path))
 
