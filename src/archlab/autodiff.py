@@ -31,7 +31,7 @@ import itertools
 
 import numpy as np
 
-from .errors import GraphError, ShapeError
+from .errors import ShapeError
 
 _created = itertools.count()  # creation index of the next node
 _FLOAT64 = np.dtype(np.float64)
@@ -66,7 +66,7 @@ class Node:
 
     def backward(self):
         if self.value.size != 1:
-            raise GraphError(f"backward requires a scalar loss, got shape {self.value.shape}")
+            raise ShapeError(f"backward requires a scalar loss, got shape {self.value.shape}")
         tape, stack = {self.index: self}, [self]
         while stack:
             for parent in stack.pop().parents:

@@ -38,7 +38,7 @@ from .errors import (
     build_config,
     check_keys,
 )
-from .numerics import as_matrix, pca_fit, pca_project, rng_create
+from .numerics import as_array, pca_fit, pca_project, rng_create
 from .svg import SvgChart
 
 EXIT_OK = 0
@@ -264,7 +264,7 @@ def cmd_plot(args) -> None:
             f"unknown CSV kind '{args.kind}' (choose from {sorted(_PLOT_KINDS)})"
         )
     m, header = datasets.read_matrix_csv(getattr(args, "in"))
-    m = as_matrix(m, "plot input")  # the CSV reader parses nan and inf
+    m = as_array(m, "plot input", (None, None))  # the CSV reader parses nan and inf
     if m.shape[1] < 2:
         raise ParameterError("plot needs at least two numeric columns")
     chart = SvgChart(title=Path(getattr(args, "in")).name,

@@ -41,6 +41,7 @@ from .errors import (
     ShapeError,
     build_config,
     check_fields,
+    check_items,
     check_keys,
     check_value,
 )
@@ -78,19 +79,14 @@ class SyntheticSpec:
             )
         if self.n < 0:
             raise ParameterError("n must be >= 0")
-        if not self.sigma2 >= 0:  # NaN too
+        if self.sigma2 < 0:
             raise ParameterError(f"sigma2 must be >= 0, got {self.sigma2}")
         if self.alpha is not None:
-            if not isinstance(self.alpha, (list, tuple, np.ndarray)):
-                raise ParameterError(
-                    f"field 'alpha' must be a list of numbers, got {self.alpha!r}")
-            for v in self.alpha:
-                check_value("alpha", v, float)
-            alpha = np.asarray(self.alpha, float)
-            if alpha.shape != (self.k,) or not np.all(alpha > 0):
+            alpha = check_items("alpha", self.alpha, float)
+            if len(alpha) != self.k or min(alpha) <= 0:
                 raise ParameterError(
                     f"alpha must be a k-vector of positive concentrations, got {self.alpha!r}")
-            object.__setattr__(self, "alpha", tuple(alpha.tolist()))
+            object.__setattr__(self, "alpha", alpha)
         if self.warp not in ("none", "exp"):
             raise ParameterError(f"unknown warp '{self.warp}'")
         if self.warp == "exp" and not (0 <= self.warp_dim < self.p):
@@ -136,16 +132,16 @@ class Dataset:
         if self.columns is None:
             self.columns = [f"x{j}" for j in range(p)]
         if len(self.columns) != p:
-            raise ParameterError("column names do not match data width")
+            raise ShapeError("column names do not match data width")
         if self.a_true is not None and self.a_true.shape[0] != n:
-            raise ParameterError("A_true row count does not match X")
+            raise ShapeError("A_true row count does not match X")
         if self.z_true is not None and self.z_true.shape[1] != p:
-            raise ParameterError("Z_true width does not match X")
+            raise ShapeError("Z_true width does not match X")
         if self.z_true is not None and self.a_true is not None \
                 and self.z_true.shape[0] != self.a_true.shape[1]:
-            raise ParameterError("Z_true row count does not match A_true width")
+            raise ShapeError("Z_true row count does not match A_true width")
         if self.labels is not None and self.labels.shape != (n,):
-            raise ParameterError("labels must be an n-vector")
+            raise ShapeError("labels must be an n-vector")
 
     @property
     def n(self) -> int:
@@ -218,12 +214,8 @@ def make_side_info(ds: Dataset, kind: str = "mixture_projection",
     arguments are the fields of a gen-data spec's ``side_info`` object."""
     check_value("side_info.kind", kind, str)
     check_value("side_info.j", j, int)
-    if w is not None and not isinstance(w, (list, tuple, np.ndarray)):
-        raise ParameterError(f"field 'side_info.w' must be a list of numbers, got {w!r}")
-    for v in () if w is None else w:
-        check_value("side_info.w", v, float)
-        if not math.isfinite(v):
-            raise ParameterError(f"field 'side_info.w' must hold finite numbers, got {w!r}")
+    if w is not None:
+        w = check_items("side_info.w", w, float)
     if ds.a_true is None:
         raise MissingGroundTruth("side information needs A_true")
     k = ds.a_true.shape[1]
@@ -365,8 +357,14 @@ def read_json(path: str, what: str) -> dict:
 
 
 def write_json(value, path: str) -> None:
-    """Compact JSON with sorted keys: without ``indent``, ``json`` encodes in C."""
-    atomic_write_text(path, json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n")
+    """Compact JSON with sorted keys: without ``indent``, ``json`` encodes in C.
+    Standard JSON only: a NaN or infinity raises NumericalError, and no file
+    is written."""
+    try:
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, text + "\n")
 
 
 _MODEL_KINDS = {"linear_aa": linear_aa.LinearAaModel, "deep_aa": deep_aa.DeepAaModel}

@@ -28,11 +28,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (MissingGroundTruth, NumericalError, ParameterError, ShapeError,
-                     build_config, check_fields, check_value)
+from .errors import (DimensionError, MissingGroundTruth, NumericalError, ParameterError,
+                     build_config, check_fields, check_items, check_value)
 from .nn import Adam, Mlp
-from .numerics import (SimplexFrame, as_matrix, best_assignment, check_finite, match_rows,
-                       rng_create, simplex_vertices)
+from .numerics import (SimplexFrame, as_array, best_assignment, match_rows, rng_create,
+                       simplex_vertices)
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -64,16 +64,17 @@ class DeepAaArch:
             raise ParameterError(f"deep AA needs k >= 2, got {self.k}")
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")
+        if self.activation not in ad.ACTIVATIONS:
+            raise ParameterError(f"field 'activation' must be one of "
+                                 f"{sorted(ad.ACTIVATIONS)}, got {self.activation!r}")
         for name in ("encoder_hidden", "decoder_hidden", "side_hidden"):
-            widths = getattr(self, name)
-            if widths is None and name == "side_hidden":
+            if getattr(self, name) is None and name == "side_hidden":
                 continue
-            for w in widths if isinstance(widths, (list, tuple)) else ():
-                check_value(name, w, int)
-            if not isinstance(widths, (list, tuple)) or not all(w >= 1 for w in widths):
-                raise ParameterError(
-                    f"field '{name}' must be a list of positive layer widths, got {widths!r}")
-            object.__setattr__(self, name, tuple(widths))
+            widths = check_items(name, getattr(self, name), int)
+            if not all(w >= 1 for w in widths):
+                raise ParameterError(f"field '{name}' must be a list of positive layer widths, "
+                                     f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, widths)
         if len(self.encoder_hidden) < 1 or len(self.decoder_hidden) < 1:
             raise ParameterError("encoder and decoder need at least one hidden layer")
 
@@ -102,10 +103,10 @@ class DeepAaHyper:
                      "side_weight", "lr")
         check_fields(self, int, "lambda_every", "batch", "epochs", "seed")
         for name in ("lambda0", "lambda_growth", "lr"):
-            if not getattr(self, name) > 0:  # NaN too
+            if getattr(self, name) <= 0:
                 raise ParameterError(f"field '{name}' must be > 0, got {getattr(self, name)}")
         for name in ("at_weight", "side_weight"):
-            if not getattr(self, name) >= 0:  # NaN too
+            if getattr(self, name) < 0:
                 raise ParameterError(f"field '{name}' must be >= 0, got {getattr(self, name)}")
         if self.batch < 1 or self.epochs < 0:
             raise ParameterError("batch must be >= 1 and epochs >= 0")
@@ -197,9 +198,9 @@ class DeepAaModel:
         run on ENCODE_CHUNK_ROWS rows at a time, so the graph held at once
         does not grow with the row count; B's softmax over the batch axis is
         then taken once, over every row."""
-        x_batch = _check_width(x_batch, self.arch.input_dim, "batch")
+        x_batch = as_array(np.atleast_2d(x_batch), "batch", (None, self.arch.input_dim))
         if len(x_batch) == 0:
-            raise ShapeError("batch has no rows; encode needs at least one")
+            raise DimensionError("batch has no rows; encode needs at least one")
         step = ENCODE_CHUNK_ROWS
         chunks = [[node.value for node in self._heads(ad.constant(x_batch[i:i + step]))]
                   for i in range(0, len(x_batch), step)]
@@ -208,7 +209,7 @@ class DeepAaModel:
 
     def decode(self, t):
         """Decode finite latent points; returns (X_hat, y_hat-or-None)."""
-        t = _check_width(t, self.arch.latent_dim, "latent points")
+        t = as_array(np.atleast_2d(t), "latent points", (None, self.arch.latent_dim))
         x_hat = self.decoder.forward(ad.constant(t)).value
         y_hat = None
         if self.side_head is not None:
@@ -236,11 +237,11 @@ class DeepAaModel:
         model = DeepAaModel(build_config(DeepAaArch, d["arch"], "arch"))
         params = model.parameters()
         sizes = [p.value.size for p in params]
-        flat = _saved_array(d["parameters"], (sum(sizes),), "parameters")
+        flat = as_array(d["parameters"], "parameters", (sum(sizes),))
         for p, values in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
             p.value[...] = values.reshape(p.value.shape)
         for name in ("median_logvar", "noise_var"):
-            setattr(model, name, _saved_array(d[name], getattr(model, name).shape, name))
+            setattr(model, name, as_array(d[name], name, getattr(model, name).shape))
         if model.noise_var.min() < NOISE_VAR_MIN:
             raise ParameterError(f"noise_var must be >= {NOISE_VAR_MIN}, got {model.noise_var}")
         hyper = DeepAaHyper(at_weight=d["at_weight"], side_weight=d["side_weight"])
@@ -251,20 +252,6 @@ class DeepAaModel:
 def _batch_softmax(b_logits: ad.Node) -> ad.Node:
     """B (k x batch): each archetype's weights over the batch's rows."""
     return ad.row_softmax(ad.transpose(b_logits))
-
-
-def _saved_array(value, shape: tuple, name: str) -> np.ndarray:
-    value = np.array(value, float)
-    if value.shape != shape:
-        raise ShapeError(f"{name} has shape {value.shape}, the arch builds {shape}")
-    return check_finite(value, name)
-
-
-def _check_width(x, p: int, what: str) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, float))
-    if x.shape[1] != p:
-        raise ShapeError(f"{what} must have {p} columns, got {x.shape[1]}")
-    return as_matrix(x, what)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +296,9 @@ def _weighted_sum(terms, weights) -> ad.Node:
 
 
 def _latent_nodes(mu, logvar):
-    """``mu`` and ``logvar`` as 2-D constant nodes of one shape."""
-    mu, logvar = np.atleast_2d(mu), np.atleast_2d(logvar)
-    if mu.shape != logvar.shape:
-        raise ShapeError("mu and logvar must have the same shape")
-    return ad.constant(mu), ad.constant(logvar)
+    """``mu`` and ``logvar``, finite and of one 2-D shape, as constant nodes."""
+    mu = as_array(np.atleast_2d(mu), "mu", (None, None))
+    return ad.constant(mu), ad.constant(as_array(np.atleast_2d(logvar), "logvar", mu.shape))
 
 
 def archetype_loss(a: np.ndarray, b: np.ndarray, frame: SimplexFrame) -> float:
@@ -356,7 +341,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
     y = None if dataset.labels is None else np.asarray(dataset.labels, float)
     n = x.shape[0]
     if n == 0:
-        raise ParameterError("cannot train on an empty dataset")
+        raise DimensionError("cannot train on an empty dataset")
     if model.side_head is not None and y is None:
         raise ParameterError("model has a side head but the dataset has no labels")
     if hyper.batch < model.arch.k:

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all archlab modules, and the checks of
-configuration keys and fields that raise them."""
+"""Exception hierarchy shared by all archlab modules, one class per kind of
+misfit, and the checks of configuration keys, fields and lists that raise
+them."""
 
+import sys
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ArchlabError(Exception):
@@ -10,11 +14,11 @@ class ArchlabError(Exception):
 
 
 class DimensionError(ArchlabError):
-    """A requested dimension or count is out of range for the input."""
+    """A count (of archetypes, rows, components or points) does not fit the data."""
 
 
 class ShapeError(ArchlabError):
-    """Array shapes are inconsistent with each other or the model."""
+    """An array's shape does not fit the other arrays or the model."""
 
 
 class DegenerateError(ArchlabError):
@@ -22,15 +26,11 @@ class DegenerateError(ArchlabError):
 
 
 class ParameterError(ArchlabError):
-    """A configuration value violates its constraints."""
+    """A configuration value is of the wrong type or out of its range."""
 
 
 class NumericalError(ArchlabError):
-    """A computation produced non-finite values."""
-
-
-class GraphError(ArchlabError):
-    """Invalid use of the autodiff graph (e.g. backward from a non-scalar)."""
+    """A number read, computed or to be written is NaN or infinite."""
 
 
 class MissingGroundTruth(ArchlabError):
@@ -49,21 +49,29 @@ class SchemaVersionError(ArchlabError):
     """A serialized model declares an unsupported schema version."""
 
 
-class InsufficientPoints(ArchlabError):
-    """Too few curve points for elbow detection."""
-
-
-_FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
+_FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a finite number"),
                 str: (str, "a string")}
 
 
 def check_value(name: str, value, kind) -> None:
     """Raise ParameterError naming the field ``name`` when ``value`` is not a
-    ``kind``: int, float (an int will do) or str. Booleans count as neither
-    number."""
+    ``kind``: int, float (a finite real number; an int will do) or str.
+    Booleans count as neither number."""
     accepted, words = _FIELD_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) or not isinstance(value, accepted) or (
+            kind is float and not -sys.float_info.max <= value <= sys.float_info.max):
         raise ParameterError(f"field '{name}' must be {words}, got {value!r}")
+
+
+def check_items(name: str, values, kind) -> tuple:
+    """``values``, a list (a tuple or array will do), as a tuple of ``kind``
+    after :func:`check_value` on each item; else ParameterError naming the
+    field ``name``."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ParameterError(f"field '{name}' must be a list, got {values!r}")
+    for v in values:
+        check_value(name, v, kind)
+    return tuple(map(kind, values))
 
 
 def check_fields(obj, kind, *names) -> None:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, ShapeError, check_fields
-from .numerics import as_matrix, check_finite, rng_create
+from .errors import DimensionError, NumericalError, ParameterError, check_fields
+from .numerics import as_array, rng_create
 
 _INNER_FW_STEPS = 10
 _KKT_TOL = 1e-10  # the active-set certificate, relative to ||x_i||^2 + max_j ||z_j||^2
@@ -43,7 +43,7 @@ class LinearAaConfig:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.max_outer_iters < 0:
             raise ParameterError(f"max_outer_iters must be >= 0, got {self.max_outer_iters}")
-        if not self.rel_tol > 0:  # NaN too
+        if self.rel_tol <= 0:
             raise ParameterError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
@@ -74,9 +74,8 @@ class LinearAaModel:
     def from_dict(d: dict) -> "LinearAaModel":
         """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p), and
         NumericalError if any of them holds a non-finite number."""
-        a, b, z = (check_finite(np.array(d[name], float), name.upper()) for name in "abz")
-        if a.ndim != 2 or b.shape != a.shape[::-1] or z.ndim != 2 or len(z) != a.shape[1]:
-            raise ShapeError(f"A {a.shape}, B {b.shape} and Z {z.shape} do not fit together")
+        a = as_array(d["a"], "A", (None, None))
+        b, z = as_array(d["b"], "B", a.shape[::-1]), as_array(d["z"], "Z", (a.shape[1], None))
         return LinearAaModel(
             a=a, b=b, z=z, rss=float(d["rss"]),
             iterations=int(d["iterations"]), converged=bool(d["converged"]),
@@ -181,7 +180,8 @@ def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     """Alternating fit of the archetypal factorization (see the module docstring)."""
-    x = np.ascontiguousarray(as_matrix(x, "X"))  # C order: the same BLAS kernels for any layout
+    # C order: the same BLAS kernels for any layout
+    x = np.ascontiguousarray(as_array(x, "X", (None, None)))
     n, _ = x.shape
     if cfg.k > n:
         raise DimensionError(f"k={cfg.k} exceeds number of rows n={n}")
@@ -219,8 +219,7 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
         rss_prev = rss_now
         if converged:
             break
-    check_finite(a, "A")
-    check_finite(b, "B")
+    a, b = as_array(a, "A", (n, cfg.k)), as_array(b, "B", (cfg.k, n))
     return LinearAaModel(a=a, b=b, z=z, rss=rss_prev, iterations=len(history) - 1,
                          converged=converged, rss_history=history)
 
@@ -231,10 +230,8 @@ def transform(x, z) -> np.ndarray:
     returned row is on the simplex; unless a warning counts it (naming ten), no
     gradient on its support exceeds the least by over _KKT_TOL (||x_i||^2 +
     max_j ||z_j||^2), so its objective is within twice that of the optimum."""
-    x = as_matrix(x, "X")
-    z = as_matrix(z, "Z")
-    if x.shape[1] != z.shape[1]:
-        raise DimensionError(f"X has {x.shape[1]} columns but Z has {z.shape[1]}")
+    x = as_array(x, "X", (None, None))
+    z = as_array(z, "Z", (None, x.shape[1]))
     if len(z) == 0:
         raise DimensionError("Z has no rows; transform needs at least one archetype")
     nearest = np.argmin(np.einsum("ij,ij->i", z, z)[:, None] - 2.0 * z @ x.T, axis=0)

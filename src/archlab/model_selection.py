@@ -18,8 +18,7 @@ import numpy as np
 
 from . import deep_aa, linear_aa
 from .datasets import Dataset
-from .errors import (ArchlabError, DimensionError, InsufficientPoints, ParameterError,
-                     build_config, check_keys)
+from .errors import ArchlabError, DimensionError, ParameterError, build_config, check_keys
 from .numerics import check_seed, rng_create
 
 TEST_FRACTION = 0.1
@@ -192,7 +191,7 @@ def detect_elbow(curve: SelectionCurve) -> int:
     or below ELBOW_THRESHOLD. Invariant under scaling all losses."""
     points = [(k, l) for k, l in zip(curve.ks, curve.losses) if l is not None]
     if len(points) < 3:
-        raise InsufficientPoints(f"elbow detection needs >= 3 points, got {len(points)}")
+        raise DimensionError(f"elbow detection needs >= 3 points, got {len(points)}")
     losses = np.array([l for _, l in points])
     # losses at the curve's floating-point floor (relative to its scale) are
     # treated as fully converged: ratios of rounding noise are meaningless

@@ -14,23 +14,20 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, NumericalError, ParameterError
+from .errors import DegenerateError, DimensionError, NumericalError, ParameterError, ShapeError
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+def as_array(x, name: str, shape: tuple) -> np.ndarray:
+    """``x`` as a float64 array of ``shape``, where None matches any length.
+    Raises ShapeError naming ``name`` on any other shape, and NumericalError
+    on a non-finite entry."""
     m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim != len(shape) or any(want not in (None, got) for got, want in zip(m.shape, shape)):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise ShapeError(f"{name} has shape {m.shape}, expected ({expected})")
+    if not np.isfinite(m).all():
         raise NumericalError(f"{name} contains non-finite entries")
     return m
-
-
-def check_finite(x: np.ndarray, name: str = "result") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{name} contains non-finite entries")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +76,7 @@ class SimplexFrame:
     vertices: np.ndarray
 
     def __post_init__(self):
-        if self.vertices.shape != (self.k, self.k - 1):
-            raise DimensionError(
-                f"simplex frame for k={self.k} needs shape {(self.k, self.k - 1)}, "
-                f"got {self.vertices.shape}"
-            )
+        as_array(self.vertices, f"simplex frame for k={self.k}", (self.k, self.k - 1))
 
 
 def simplex_vertices(k: int) -> SimplexFrame:
@@ -132,7 +125,7 @@ def pca_fit(x, q: int) -> PcaModel:
     Component signs are fixed so the entry of largest magnitude in each
     component is positive, making the output deterministic.
     """
-    x = as_matrix(x, "X")
+    x = as_array(x, "X", (None, None))
     n, p = x.shape
     if n < 2:
         raise DimensionError(f"PCA needs at least 2 rows, got {n}")
@@ -187,12 +180,8 @@ def match_rows(estimated, truth):
     Returns (perm, errors) where estimated[perm[i]] is matched to truth[i]
     and errors[i] is the mean absolute coordinate error of that pair.
     """
-    estimated = as_matrix(estimated, "estimated")
-    truth = as_matrix(truth, "truth")
-    if estimated.shape != truth.shape:
-        raise DimensionError(
-            f"shape mismatch {estimated.shape} vs {truth.shape}"
-        )
+    estimated = as_array(estimated, "estimated", (None, None))
+    truth = as_array(truth, "truth", estimated.shape)
     k = truth.shape[0]
     cost = np.array([
         [np.mean(np.abs(estimated[i] - truth[j])) for i in range(k)]
@@ -204,5 +193,5 @@ def match_rows(estimated, truth):
 
 
 def pca_project(model: PcaModel, x) -> np.ndarray:
-    x = as_matrix(x, "X")
+    x = as_array(x, "X", (None, len(model.mean)))
     return (x - model.mean) @ model.components.T

@@ -19,7 +19,7 @@ import pytest
 
 from archlab import autodiff as ad
 from archlab.deep_aa import DeepAaArch, DeepAaModel, _batch_softmax
-from archlab.errors import GraphError, ShapeError
+from archlab.errors import ShapeError
 
 
 def central_difference(f, x, h=1e-6):
@@ -208,7 +208,7 @@ class TestStructured:
 
 class TestGraph:
     def test_backward_requires_scalar(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ShapeError):
             ad.Node(np.zeros((2, 2))).backward()
 
     def test_gradient_accumulates_on_reuse(self):

@@ -187,6 +187,16 @@ class TestFitLinear:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_config(self, tmp_path, capsys, tol):
+        data = gen_dataset(tmp_path)
+        capsys.readouterr()
+        code = run("fit-linear", "--data", data, "--k", 3, "--tol", tol,
+                   "--out", tmp_path / "o")
+        assert code == cli.EXIT_CONFIG
+        assert "field 'rel_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_max_iters_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = run("fit-linear", "--data", data, "--k", 3, "--max-iters", -5,
@@ -569,6 +579,14 @@ def run_with_config(tmp_path, capsys, command, option, payload):
     ("sweep --fit deep", "--config", {"arch": {"decoder_hidden": [True, 4]}},
      "decoder_hidden"),
     ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "alpha": [True, "2", 3]}, "alpha"),
+    # a number field takes finite numbers only; 1e400 reads as infinity
+    ("fit-deep", "--hyper", {"epochs": 0, "at_weight": 1e400}, "at_weight"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "sigma2": 1e400}, "sigma2"),
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "alpha": [1e400, 1, 1]}, "alpha"),
+    ("sweep", "--config", {"rel_tol": -1e400}, "rel_tol"),
+    # an activation no network knows is wrong for every k of a sweep
+    ("fit-deep", "--arch", {"activation": "sigmoid"}, "activation"),
+    ("sweep --fit deep", "--config", {"arch": {"activation": "sigmoid"}}, "activation"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):
@@ -580,12 +598,12 @@ def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command
 
 @pytest.mark.parametrize("payload, message", [
     ({"lr": -1.0}, "field 'lr' must be > 0"),
-    ({"lr": float("nan")}, "field 'lr' must be > 0"),
-    ({"lambda0": float("nan")}, "field 'lambda0' must be > 0"),
+    ({"lr": float("nan")}, "field 'lr' must be a finite number"),
+    ({"lambda0": float("nan")}, "field 'lambda0' must be a finite number"),
     ({"epochs": 1, "at_weight": -1.0}, "field 'at_weight' must be >= 0"),
-    ({"epochs": 1, "side_weight": float("nan")}, "field 'side_weight' must be >= 0"),
+    ({"epochs": 1, "side_weight": float("nan")}, "field 'side_weight' must be a finite number"),
     ({"epochs": 1, "lambda_growth": float("nan"), "lambda_every": 1},
-     "field 'lambda_growth' must be > 0"),
+     "field 'lambda_growth' must be a finite number"),
 ], ids=["negative-lr", "nan-lr", "nan-lambda0", "negative-at-weight", "nan-side-weight",
         "nan-lambda-growth"])
 def test_out_of_range_hyper_exits_config(tmp_path, capsys, payload, message):
@@ -663,6 +681,43 @@ def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
     if argv[0] == "sweep":
         assert manifest["config"]["workers"] == min(2, len(os.sched_getaffinity(0)))
         assert sorted(manifest["config"]["seconds"]) == ["1", "2"]
+
+
+def test_pipeline_writes_every_file_in_standard_json(tmp_path):
+    # the labelled exp-warped pipeline: each command writes all its files,
+    # and every JSON file parses without NaN or Infinity
+    data = gen_dataset(tmp_path, warp={"kind": "exp", "dim": 0},
+                       side_info={"kind": "mixture_projection", "j": 0})
+    code, deep = TestFitDeep().fit(tmp_path, data, "deep", "--side-info")
+    assert code == cli.EXIT_OK
+    commands = {
+        "linear": ["fit-linear", "--data", data, "--k", 3],
+        "interp": ["interpolate", "--model", deep / "model.json", "--from", "1,0,0",
+                   "--to", "0,0.5,0.5", "--steps", 7],
+        "sample": ["sample", "--model", deep / "model.json", "--weights", "0.2,0.3,0.5",
+                   "--noise", "--seed", 3],
+        "sweep": ["sweep", "--data", data, "--ks", "1,2,3"],
+    }
+    for out, argv in commands.items():
+        assert run(*argv, "--out", tmp_path / out) == cli.EXIT_OK
+    assert run("plot", "--in", tmp_path / "linear" / "pca_scatter.csv",
+               "--out", tmp_path / "scatter.svg") == cli.EXIT_OK
+    written = {out: {f.name for f in (tmp_path / out).iterdir()}
+               for out in ("data", "deep", *commands)}
+    assert written == {
+        "data": {"X.csv", "X.atrue.csv", "X.ztrue.csv", "manifest.json"},
+        "deep": DEEP_FILES | {"vertex_recovery.json", "manifest.json"},
+        "linear": {"model.json", "rss_log.csv", "pca_scatter.csv", "manifest.json"},
+        "interp": {"interpolation.csv", "manifest.json"},
+        "sample": {"sample.csv", "manifest.json"},
+        "sweep": {"curve.csv", "manifest.json"},
+    }
+    assert (tmp_path / "scatter.svg").exists()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    for path in tmp_path.glob("*/*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
 
 
 def archlab_process(*argv, threads=None, cpus=None):

@@ -14,6 +14,7 @@ from archlab.datasets import Dataset, SyntheticSpec
 from archlab.errors import (
     IoError,
     MissingGroundTruth,
+    NumericalError,
     ParameterError,
     ParseError,
     SchemaVersionError,
@@ -273,9 +274,9 @@ class TestCsvRoundTrip:
         path = tmp_path / "X.csv"
         datasets.write_matrix_csv(np.ones((20, 3)), ["x0", "x1", "x2"], str(path))
         datasets.write_matrix_csv(np.ones((3, 2)), ["x0", "x1"], str(tmp_path / "X.ztrue.csv"))
-        with pytest.raises(ParameterError, match="Z_true width"):
+        with pytest.raises(ShapeError, match="Z_true width"):
             datasets.read_csv(str(path))
-        with pytest.raises(ParameterError, match="Z_true width"):
+        with pytest.raises(ShapeError, match="Z_true width"):
             Dataset(x=np.ones((20, 3)), z_true=np.ones((3, 2)))
 
     def test_header_only_file(self, tmp_path):
@@ -422,6 +423,13 @@ class TestCsvRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["out.csv"] if target.exists() else [])
 
+    def test_non_finite_json_is_not_written(self, tmp_path):
+        # NaN and Infinity are not JSON, though Python's encoder writes them
+        path = tmp_path / "out.json"
+        with pytest.raises(NumericalError, match=re.escape(str(path))):
+            datasets.write_json({"x": float("nan")}, str(path))
+        assert not path.exists()
+
 
 def deep_model_payload(edit):
     """The file form of a small untrained deep model (input_dim 4, k 3, one
@@ -463,6 +471,8 @@ MISFIT_DEEP_MODELS = {
     "inf-median-logvar": lambda d: d.update(median_logvar=[float("inf"), 0.0]),
     "zero-noise-var": lambda d: d.update(noise_var=[0, 0, 0, 0]),
     "nan-at-weight": lambda d: d.update(at_weight=float("nan")),
+    # written by json as "at_weight":Infinity
+    "inf-at-weight": lambda d: d.update(at_weight=math.inf),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from archlab import deep_aa
 from archlab.datasets import Dataset
 from archlab.deep_aa import DeepAaArch, DeepAaHyper, DeepAaModel
 from archlab.errors import (
+    DimensionError,
     MissingGroundTruth,
     NumericalError,
     ParameterError,
@@ -49,6 +51,13 @@ class TestArch:
         arch = DeepAaArch(input_dim=4, k=3, encoder_hidden=(16, 8),
                           decoder_hidden=(8,), side_hidden=(4,), activation="tanh")
         assert build_config(DeepAaArch, arch.to_dict(), "arch") == arch
+
+    def test_widths_of_numpy_integers_are_stored_as_ints(self):
+        arch = DeepAaArch(input_dim=4, k=3, encoder_hidden=np.array([16, 8]),
+                          decoder_hidden=[np.int64(8)])
+        assert arch.encoder_hidden == (16, 8) and arch.decoder_hidden == (8,)
+        assert all(type(w) is int for w in arch.encoder_hidden + arch.decoder_hidden)
+        assert json.loads(json.dumps(arch.to_dict()))["encoder_hidden"] == [16, 8]
 
     def test_hyper_validation(self):
         with pytest.raises(ParameterError):
@@ -115,7 +124,7 @@ class TestEncode:
             tiny_model().encode(np.zeros((3, 5)))
 
     def test_rejects_empty_batch(self):
-        with pytest.raises(ShapeError, match="no rows"):
+        with pytest.raises(DimensionError, match="no rows"):
             tiny_model().encode(np.zeros((0, 4)))
 
     def test_decode_rejects_non_finite_points(self):
@@ -459,7 +468,7 @@ class TestTrain:
         assert lams[250] == pytest.approx(1.01**2)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionError):
             deep_aa.train(tiny_model(), Dataset(x=np.zeros((0, 4))),
                           DeepAaHyper())
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archlab import linear_aa, numerics
-from archlab.errors import DimensionError, ParameterError
+from archlab.errors import DimensionError, ParameterError, ShapeError
 from archlab.numerics import rng_create
 
 
@@ -506,6 +506,22 @@ class TestTransform:
         np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1), expected,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_inexact_solution_is_solved_again_by_least_squares(self, monkeypatch):
+        rng = rng_create(16)
+        z, x = rng.standard_normal((4, 3)), rng.standard_normal((100, 3))
+        expected = enumerated_objectives(x, z)
+        solve = np.linalg.solve
+
+        def inexact(kkt, rhs):
+            return solve(kkt, rhs) + 1e-3
+        # every KKT solve returns an answer off by 1e-3 and raises nothing, as
+        # LU can on nearly dependent atoms: only the residual check sees it
+        monkeypatch.setattr(np.linalg, "solve", inexact)
+        a = linear_aa.transform(x, z)  # an uncertified row would warn, and fail
+        assert kkt_spread(x, z, a).max() <= 1e-10
+        np.testing.assert_allclose(np.sum((x - a @ z) ** 2, axis=1), expected,
+                                   rtol=1e-12, atol=1e-12)
+
     def test_rows_off_the_simplex_are_never_certified(self, monkeypatch):
         # every support solve fails and its stand-in returns zero weights, so
         # the rows that need a solve leave the simplex: a zero row has no
@@ -539,7 +555,7 @@ class TestTransform:
     @pytest.mark.parametrize("k", [1, 3, 14])
     def test_column_mismatch_rejected(self, k):
         # the width check precedes the solver, which takes one path for every k
-        with pytest.raises(DimensionError, match="columns"):
+        with pytest.raises(ShapeError, match="Z has shape"):
             linear_aa.transform(np.ones((5, 3)), np.ones((k, 4)))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from archlab import model_selection, numerics
 from archlab.datasets import Dataset
-from archlab.errors import DimensionError, InsufficientPoints, ParameterError
+from archlab.errors import DimensionError, ParameterError
 from archlab.model_selection import SelectionCurve
 from archlab.numerics import rng_create
 
@@ -195,7 +195,7 @@ class TestDetectElbow:
         assert model_selection.detect_elbow(curve) == 2
 
     def test_needs_three_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(DimensionError):
             model_selection.detect_elbow(
                 SelectionCurve(ks=[1, 2], losses=[1.0, 0.5])
             )

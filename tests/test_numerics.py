@@ -11,26 +11,36 @@ from archlab.errors import (
     DimensionError,
     NumericalError,
     ParameterError,
+    ShapeError,
 )
 
 
 class TestAsMatrix:
+    """as_array with the shape of a matrix of any size."""
+
     def test_accepts_lists(self):
-        m = numerics.as_matrix([[1, 2], [3, 4]])
+        m = numerics.as_array([[1, 2], [3, 4]], "m", (None, None))
         assert m.dtype == np.float64
         assert m.shape == (2, 2)
 
     def test_rejects_vectors(self):
-        with pytest.raises(DimensionError):
-            numerics.as_matrix([1.0, 2.0])
+        with pytest.raises(ShapeError):
+            numerics.as_array([1.0, 2.0], "m", (None, None))
+
+    def test_none_matches_any_length(self):
+        assert numerics.as_array(np.zeros((0, 3)), "m", (None, 3)).shape == (0, 3)
+        with pytest.raises(ShapeError, match=r"m has shape \(2, 4\), expected \(any, 3\)"):
+            numerics.as_array(np.zeros((2, 4)), "m", (None, 3))
+        with pytest.raises(ShapeError, match=r"expected \(2, 4\)"):
+            numerics.as_array(np.zeros((2, 4, 1)), "m", (2, 4))
 
     def test_rejects_nan(self):
         with pytest.raises(NumericalError):
-            numerics.as_matrix([[np.nan, 0.0]])
+            numerics.as_array([[np.nan, 0.0]], "m", (None, None))
 
     def test_rejects_inf(self):
         with pytest.raises(NumericalError):
-            numerics.as_matrix([[np.inf, 0.0]])
+            numerics.as_array([[np.inf, 0.0]], "m", (None, None))
 
 
 class TestRng:
@@ -214,7 +224,7 @@ class TestMatchRows:
         np.testing.assert_allclose(np.sort(errors), [0.1, 1.0], atol=1e-12)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError):
             numerics.match_rows(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_tie_goes_to_first_permutation(self):
