@@ -98,7 +98,7 @@ def cmd_gen_data(args) -> dict:
     side_info = spec_dict.pop("side_info", None)
     if side_info is not None:
         check_keys(side_info, ("kind", "j", "w"), "field 'side_info'")
-    spec = datasets.SyntheticSpec.from_dict(spec_dict)
+    spec = build_config(datasets.SyntheticSpec, spec_dict, "spec")
     ds = datasets.make_synthetic(spec)
     if side_info is not None:
         ds = datasets.make_side_info(ds, **side_info)

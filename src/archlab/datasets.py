@@ -39,10 +39,8 @@ from .errors import (
     ParseError,
     SchemaVersionError,
     ShapeError,
-    build_config,
     check_fields,
     check_items,
-    check_keys,
     check_value,
 )
 from .numerics import rng_create, rng_dirichlet_matrix, simplex_vertices
@@ -71,6 +69,7 @@ class SyntheticSpec:
     def __post_init__(self):
         check_fields(self, int, "n", "p", "k", "embed_seed", "sample_seed", "warp_dim")
         check_fields(self, float, "sigma2")
+        check_fields(self, str, "warp")
         if self.k < 1 or self.p < 1:
             raise ParameterError(f"k and p must be >= 1, got k={self.k}, p={self.p}")
         if self.k - 1 > self.p:
@@ -88,35 +87,14 @@ class SyntheticSpec:
                     f"alpha must be a k-vector of positive concentrations, got {self.alpha!r}")
             object.__setattr__(self, "alpha", alpha)
         if self.warp not in ("none", "exp"):
-            raise ParameterError(f"unknown warp '{self.warp}'")
+            raise ParameterError(f"field 'warp' must be 'none' or 'exp', got {self.warp!r}")
         if self.warp == "exp" and not (0 <= self.warp_dim < self.p):
             raise ParameterError(
                 f"warp_dim={self.warp_dim} out of range for p={self.p}"
             )
 
     def to_dict(self) -> dict:
-        d = {name: value for name, value in asdict(self).items() if value is not None}
-        dim = d.pop("warp_dim")
-        d["warp"] = {"kind": "exp", "dim": dim} if self.warp == "exp" else "none"
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticSpec":
-        rest = dict(d)
-        warp = rest.pop("warp", "none")
-        if warp == "none" or warp is None:
-            kind, dim = "none", 0
-        elif isinstance(warp, dict):
-            check_keys(warp, ("kind", "dim"), "spec 'warp'")
-            kind = warp.get("kind", "")
-            if kind != "exp":
-                raise ParameterError(f"unknown warp kind '{kind}' in field 'warp'")
-            if "dim" not in warp:
-                raise ParameterError("warp of kind 'exp' needs field 'warp.dim'")
-            dim = warp["dim"]
-        else:
-            raise ParameterError(f"unknown warp '{warp}' in field 'warp'")
-        return build_config(SyntheticSpec, rest, "spec", warp=kind, warp_dim=dim)
+        return asdict(self)
 
 
 @dataclass

@@ -337,13 +337,14 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
     residuals over the same window of batches the gradient averages over.
     Each step is scored with the estimate from earlier batches: a batch
     never lowers the weight of its own largest residuals."""
-    x = np.asarray(dataset.x, float)
-    y = None if dataset.labels is None else np.asarray(dataset.labels, float)
+    x = as_array(dataset.x, "X", (None, None))
     n = x.shape[0]
     if n == 0:
         raise DimensionError("cannot train on an empty dataset")
-    if model.side_head is not None and y is None:
+    if model.side_head is not None and dataset.labels is None:
         raise ParameterError("model has a side head but the dataset has no labels")
+    # only the side head reads the labels, so only then must they be finite
+    y = None if model.side_head is None else as_array(dataset.labels, "labels", (n,))
     if hyper.batch < model.arch.k:
         warnings.warn(
             f"batch size {hyper.batch} below k={model.arch.k}; the batch-axis "

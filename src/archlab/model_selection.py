@@ -19,7 +19,7 @@ import numpy as np
 from . import deep_aa, linear_aa
 from .datasets import Dataset
 from .errors import ArchlabError, DimensionError, ParameterError, build_config, check_keys
-from .numerics import check_seed, rng_create
+from .numerics import as_array, check_seed, rng_create
 
 TEST_FRACTION = 0.1
 # detect_elbow's bound on a relative improvement that still counts as converged
@@ -115,9 +115,10 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
 
     A fit that raises an ArchlabError is recorded as a missing point, with
     the reason in ``failures``, rather than aborting the sweep; a dataset
-    too small to hold out a test row, a k below 1, a negative seed, a config
-    key the fitter does not take, or a value no k could use, is rejected
-    before any fit runs. ``stops`` records how each linear fit stopped.
+    holding a non-finite entry or too small to hold out a test row, a k
+    below 1, a negative seed, a config key the fitter does not take, or a
+    value no k could use, is rejected before any fit runs. ``stops``
+    records how each linear fit stopped.
 
     The fits run in ``workers`` forked worker processes, one per CPU in this
     process's affinity mask and at most one per k, largest k first, as the
@@ -135,6 +136,7 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     if ks[0] < 1:
         raise ParameterError(f"archetype counts must be at least 1, got {ks[0]}")
     check_seed(seed)
+    as_array(dataset.x, "X", (None, None))
     if len(dataset.x) < 2:
         raise DimensionError(f"a sweep needs at least 2 rows to hold out a test row, "
                              f"got {len(dataset.x)}")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from archlab import cli, datasets, deep_aa, linear_aa
+from archlab.numerics import rng_create
 
 from test_datasets import MALFORMED_MODELS, MISFIT_DEEP_MODELS, deep_model_payload
 
@@ -36,6 +38,16 @@ def gen_dataset(tmp_path, name="data", **overrides):
 
 def file_bytes(directory, names):
     return {name: (Path(directory) / name).read_bytes() for name in names}
+
+
+def write_non_finite_csv(tmp_path, column="x1"):
+    """A 10-row labelled dataset whose column ``column`` holds one NaN."""
+    columns = ["x0", "x1", "label"]
+    rows = np.column_stack([rng_create(0).standard_normal((10, 2)), np.linspace(0, 1, 10)])
+    rows[4, columns.index(column)] = np.nan
+    path = tmp_path / "bad.csv"
+    datasets.write_matrix_csv(rows, columns, str(path))
+    return path
 
 
 class TestGenData:
@@ -81,7 +93,7 @@ class TestGenData:
         assert manifest["git_describe"] == "unknown"
 
     def test_invalid_field_exits_config(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, warp={"kind": "exp", "dim": 9})
+        spec = write_spec(tmp_path, warp="exp", warp_dim=9)
         code = run("gen-data", "--spec", spec, "--out", tmp_path / "o")
         assert code == cli.EXIT_CONFIG
         assert "warp_dim" in capsys.readouterr().err
@@ -111,6 +123,28 @@ class TestGenData:
         assert code == cli.EXIT_CONFIG
         assert "p=0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_one_archetype_is_one_point(self, tmp_path):
+        out = gen_dataset(tmp_path, k=1)
+        ds = datasets.read_csv(str(out / "X.csv"))
+        assert ds.z_true.shape == (1, 3)
+        np.testing.assert_array_equal(ds.a_true, np.ones((120, 1)))
+
+    def test_readme_spec_example_runs(self, tmp_path):
+        # the spec README.md writes with cat > spec.json <<'EOF' ... EOF
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"cat > spec\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "data"
+        assert run("gen-data", "--spec", spec, "--out", out) == cli.EXIT_OK
+        given = json.loads(text)
+        assert given["warp"] == "exp"
+        x = datasets.read_csv(str(out / "X.csv")).x
+        plain = datasets.make_synthetic(datasets.SyntheticSpec(**{**given, "warp": "none"})).x
+        dim = given["warp_dim"]
+        np.testing.assert_array_equal(x[:, dim], np.exp(plain[:, dim]))
+        np.testing.assert_array_equal(np.delete(x, dim, 1), np.delete(plain, dim, 1))
 
 
 class TestFitLinear:
@@ -271,6 +305,14 @@ class TestFitDeep:
         code, _ = self.fit(tmp_path, data, "d3", "--side-info")
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("column, name", [("x1", "X"), ("label", "labels")])
+    def test_non_finite_data_exits_numerical(self, tmp_path, capsys, column, name):
+        data = write_non_finite_csv(tmp_path, column)
+        code, out = self.fit(tmp_path, data, "deep", "--side-info", k=2)
+        assert code == cli.EXIT_NUMERICAL
+        assert f"{name} contains non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_k_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = run("fit-deep", "--data", data, "--out", tmp_path / "o")
@@ -333,6 +375,14 @@ class TestSweep:
                    "--out", out) == cli.EXIT_CONFIG
         assert "at least 2 rows" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
+
+    @pytest.mark.parametrize("fit", ["linear", "deep"])
+    def test_non_finite_data_exits_numerical_without_curve(self, tmp_path, capsys, fit):
+        out = tmp_path / "o"
+        assert run("sweep", "--data", write_non_finite_csv(tmp_path), "--ks", "1,2",
+                   "--fit", fit, "--out", out) == cli.EXIT_NUMERICAL
+        assert "X contains non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_ks_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -587,6 +637,11 @@ def run_with_config(tmp_path, capsys, command, option, payload):
     # an activation no network knows is wrong for every k of a sweep
     ("fit-deep", "--arch", {"activation": "sigmoid"}, "activation"),
     ("sweep --fit deep", "--config", {"arch": {"activation": "sigmoid"}}, "activation"),
+    # a spec holds SyntheticSpec's own fields: warp is a string, warp_dim an int
+    ("gen-data", "--spec", {"n": 9, "p": 3, "k": 3, "warp": {"kind": "exp", "dim": 0}},
+     "warp"),
+    # a layer of no units
+    ("fit-deep", "--arch", {"encoder_hidden": [0]}, "encoder_hidden"),
 ])
 def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command,
                                                        option, payload, field):
@@ -686,7 +741,7 @@ def test_manifest_keys_and_outputs(tmp_path, fitted, argv, files):
 def test_pipeline_writes_every_file_in_standard_json(tmp_path):
     # the labelled exp-warped pipeline: each command writes all its files,
     # and every JSON file parses without NaN or Infinity
-    data = gen_dataset(tmp_path, warp={"kind": "exp", "dim": 0},
+    data = gen_dataset(tmp_path, warp="exp", warp_dim=0,
                        side_info={"kind": "mixture_projection", "j": 0})
     code, deep = TestFitDeep().fit(tmp_path, data, "deep", "--side-info")
     assert code == cli.EXIT_OK
@@ -750,7 +805,7 @@ def test_linear_outputs_do_not_depend_on_blas_threads(tmp_path):
     # splits a strided dot product across its threads above 10 000 entries.
     # The data is warped like c02's seed 4.
     spec = write_spec(tmp_path, n=12_000, p=8, sigma2=0.05, embed_seed=104,
-                      sample_seed=204, warp={"kind": "exp", "dim": 1})
+                      sample_seed=204, warp="exp", warp_dim=1)
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"max_outer_iters": 50}))
     digests = []

@@ -19,6 +19,7 @@ from archlab.errors import (
     ParseError,
     SchemaVersionError,
     ShapeError,
+    build_config,
 )
 
 
@@ -52,24 +53,12 @@ class TestSyntheticSpec:
         assert spec.alpha == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in spec.alpha)
 
-    def test_dict_round_trip(self):
-        spec = SyntheticSpec(n=5, p=4, k=3, sigma2=0.1, embed_seed=7,
-                             sample_seed=8, warp="exp", warp_dim=2)
-        again = SyntheticSpec.from_dict(spec.to_dict())
-        assert again == spec
-
-    def test_dict_round_trip_with_alpha(self):
-        spec = SyntheticSpec(n=5, p=4, k=3, alpha=np.array([1.0, 2.0, 3.0]))
-        again = SyntheticSpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert hash(again) == hash(spec)
-
-    def test_from_dict_rejects_unknown_warp(self):
-        with pytest.raises(ParameterError):
-            SyntheticSpec.from_dict({"n": 1, "p": 2, "k": 2, "warp": "squiggle"})
-        with pytest.raises(ParameterError):
-            SyntheticSpec.from_dict({"n": 1, "p": 2, "k": 2,
-                                     "warp": {"kind": "exp"}})
+    def test_rejects_unknown_or_nested_warp(self):
+        # a spec holds the dataclass's own fields: warp is "none" or "exp",
+        # and warp_dim is a field of its own
+        for warp in ("squiggle", {"kind": "exp", "dim": 0}, None):
+            with pytest.raises(ParameterError, match="field 'warp'"):
+                build_config(SyntheticSpec, {"n": 1, "p": 2, "k": 2, "warp": warp}, "spec")
 
 
 class TestMakeSynthetic:
@@ -278,6 +267,16 @@ class TestCsvRoundTrip:
             datasets.read_csv(str(path))
         with pytest.raises(ShapeError, match="Z_true width"):
             Dataset(x=np.ones((20, 3)), z_true=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("sidecars, message", [
+        ({"a_true": np.ones((19, 3))}, "A_true row count"),
+        ({"a_true": np.ones((20, 2)), "z_true": np.ones((3, 3))}, "Z_true row count"),
+        ({"labels": np.ones(19)}, "labels must be an n-vector"),
+        ({"labels": np.ones((20, 1))}, "labels must be an n-vector"),
+    ], ids=["atrue-rows", "ztrue-rows-vs-atrue-width", "labels-length", "labels-column"])
+    def test_sidecar_of_another_shape_rejected(self, sidecars, message):
+        with pytest.raises(ShapeError, match=message):
+            Dataset(x=np.ones((20, 3)), **sidecars)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -422,6 +422,13 @@ class TestTrain:
         y = rng.uniform(size=n) if labels else None
         return Dataset(x=x, labels=y)
 
+    def test_labels_without_side_head_are_not_read(self):
+        ds = self._dataset(n=50, labels=True)
+        ds.labels[3] = np.nan
+        deep_aa.train(tiny_model(), ds, DeepAaHyper(epochs=1, batch=25))
+        with pytest.raises(NumericalError, match="labels contains non-finite entries"):
+            deep_aa.train(tiny_model(side=True), ds, DeepAaHyper(epochs=1, batch=25))
+
     def test_history_length_and_columns(self):
         model = tiny_model()
         ds = self._dataset()

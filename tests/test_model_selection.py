@@ -8,7 +8,7 @@ import pytest
 
 from archlab import model_selection, numerics
 from archlab.datasets import Dataset
-from archlab.errors import DimensionError, ParameterError
+from archlab.errors import DimensionError, NumericalError, ParameterError
 from archlab.model_selection import SelectionCurve
 from archlab.numerics import rng_create
 
@@ -86,6 +86,23 @@ class TestSweep:
         assert list(curve.failures) == [50]
         assert curve.failures[50].startswith("DimensionError: k=50 exceeds")
         assert list(curve.stops) == [1, 2]
+
+    def test_one_usable_k_is_chosen(self):
+        # elbow detection needs three points; with one, that k is chosen
+        ds = Dataset(x=rng_create(0).standard_normal((10, 2)))
+        curve = model_selection.sweep(ds, [2, 50], fit="linear")
+        assert list(curve.failures) == [50]
+        assert curve.chosen_k == 2
+
+    @pytest.mark.parametrize("fit", ["linear", "deep"])
+    def test_non_finite_data_rejected_before_any_fit(self, monkeypatch, fit):
+        def fitted(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(model_selection, f"_{fit}_test_mse", fitted)
+        x = convex_dataset(n=50).x
+        x[7, 1] = np.inf
+        with pytest.raises(NumericalError, match="X contains non-finite entries"):
+            model_selection.sweep(Dataset(x=x), [1, 2], fit=fit)
 
     def test_stops_record_iterations_and_convergence(self):
         ds = convex_dataset(n=120)

@@ -75,6 +75,16 @@ class TestRng:
         w = numerics.rng_dirichlet_matrix(rng, alpha, 200_000)
         np.testing.assert_allclose(w.mean(axis=0), alpha / alpha.sum(), atol=5e-3)
 
+    def test_dirichlet_row_of_zero_gammas_is_one_hot(self):
+        # with alpha 1e-3, every gamma draw of 220 of these rows underflows
+        # to 0; each such row puts all its weight on one archetype
+        g = numerics.rng_create(0).standard_gamma(np.full((2000, 3), 1e-3))
+        dead = g.sum(axis=1) == 0
+        assert dead.sum() == 220
+        w = numerics.rng_dirichlet_matrix(numerics.rng_create(0), [1e-3] * 3, 2000)
+        assert np.all(np.sort(w[dead], axis=1) == [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
     def test_dirichlet_rejects_nonpositive(self):
         rng = numerics.rng_create(0)
         with pytest.raises(ParameterError):
