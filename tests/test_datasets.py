@@ -53,6 +53,18 @@ class TestSyntheticSpec:
         assert spec.alpha == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in spec.alpha)
 
+    def test_dict_round_trip(self):
+        spec = SyntheticSpec(n=5, p=4, k=3, sigma2=0.1, embed_seed=7,
+                             sample_seed=8, warp="exp", warp_dim=2)
+        again = build_config(SyntheticSpec, spec.to_dict(), "spec")
+        assert again == spec
+
+    def test_dict_round_trip_with_alpha(self):
+        spec = SyntheticSpec(n=5, p=4, k=3, alpha=np.array([1.0, 2.0, 3.0]))
+        again = build_config(SyntheticSpec, spec.to_dict(), "spec")
+        assert again == spec
+        assert hash(again) == hash(spec)
+
     def test_rejects_unknown_or_nested_warp(self):
         # a spec holds the dataclass's own fields: warp is "none" or "exp",
         # and warp_dim is a field of its own
