@@ -32,7 +32,6 @@ from . import datasets, deep_aa, linear_aa, model_selection
 from .errors import (
     ArchlabError,
     IoError,
-    MissingGroundTruth,
     NumericalError,
     ParameterError,
     build_config,
@@ -163,19 +162,13 @@ def cmd_fit_deep(args) -> dict:
     hyper_dict = datasets.read_json(args.hyper, "hyper config") if args.hyper else {}
     if args.k is None:
         raise ParameterError("archetype count missing: pass --k")
-    if args.side_info:
-        if arch_dict.setdefault("side_hidden", [16]) is None:
-            raise ParameterError("--side-info needs a side head, but field "
-                                 "'side_hidden' in arch config is null")
-        if ds.labels is None:
-            raise MissingGroundTruth(
-                "--side-info requires a dataset with a label column")
-    # the data gives input_dim and the command k and the seed
-    arch = build_config(deep_aa.DeepAaArch, arch_dict, "arch config", input_dim=ds.p, k=args.k)
-    hyper = build_config(deep_aa.DeepAaHyper, hyper_dict, "hyper config", seed=args.seed)
+    if args.side_info and arch_dict.setdefault("side_hidden", [16]) is None:
+        raise ParameterError("--side-info needs a side head, but field "
+                             "'side_hidden' in arch config is null")
+    arch, hyper = deep_aa.fit_configs(ds, {"arch": arch_dict, "hyper": hyper_dict},
+                                      args.k, args.seed, "fit-deep config")
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
-    train_ds = ds if args.side_info else datasets.Dataset(x=ds.x)
-    deep_aa.train(model, train_ds, hyper)
+    deep_aa.train(model, ds, hyper)
 
     out = _ensure_dir(args.out)
     datasets.write_model(model, str(out / "model.json"))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (DimensionError, MissingGroundTruth, NumericalError, ParameterError,
-                     build_config, check_fields, check_items, check_value)
+                     build_config, check_fields, check_items, check_keys, check_value)
 from .nn import Adam, Mlp
 from .numerics import (SimplexFrame, as_array, best_assignment, match_rows, rng_create,
                        simplex_vertices)
@@ -320,6 +320,27 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Training
 
+def _labels(arch: DeepAaArch, dataset):
+    """The labels a fit of ``arch`` trains on: None without a side head (they
+    are then not read), else the dataset's, finite and one per row."""
+    if arch.side_hidden is not None and dataset.labels is None:
+        raise ParameterError("field 'side_hidden' sets a side head, but the data has no labels")
+    return (None if arch.side_hidden is None
+            else as_array(dataset.labels, "labels", (len(dataset.x),)))
+
+
+def fit_configs(dataset, cfg: dict, k: int, seed: int, where: str):
+    """The (arch, hyper) of one deep fit on ``dataset`` from ``cfg``'s optional
+    ``arch`` and ``hyper`` dicts (``where`` names ``cfg``): the data gives input_dim,
+    the caller k and the seed. Labels a side head cannot use fail here, as in train()."""
+    check_keys(cfg, ("arch", "hyper"), where)
+    arch = build_config(DeepAaArch, cfg.get("arch", {}), f"{where} 'arch'",
+                        input_dim=dataset.x.shape[1], k=k)
+    hyper = build_config(DeepAaHyper, cfg.get("hyper", {}), f"{where} 'hyper'", seed=seed)
+    _labels(arch, dataset)
+    return arch, hyper
+
+
 def _lambda_at(hyper: DeepAaHyper, step: int, scheduled: bool) -> float:
     if not scheduled:
         return hyper.lambda0
@@ -341,10 +362,7 @@ def train(model: DeepAaModel, dataset, hyper: DeepAaHyper) -> DeepAaModel:
     n = x.shape[0]
     if n == 0:
         raise DimensionError("cannot train on an empty dataset")
-    if model.side_head is not None and dataset.labels is None:
-        raise ParameterError("model has a side head but the dataset has no labels")
-    # only the side head reads the labels, so only then must they be finite
-    y = None if model.side_head is None else as_array(dataset.labels, "labels", (n,))
+    y = _labels(model.arch, dataset)
     if hyper.batch < model.arch.k:
         warnings.warn(
             f"batch size {hyper.batch} below k={model.arch.k}; the batch-axis "

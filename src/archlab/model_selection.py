@@ -18,7 +18,7 @@ import numpy as np
 
 from . import deep_aa, linear_aa
 from .datasets import Dataset
-from .errors import ArchlabError, DimensionError, ParameterError, build_config, check_keys
+from .errors import ArchlabError, DimensionError, ParameterError, build_config
 from .numerics import as_array, check_seed, rng_create
 
 TEST_FRACTION = 0.1
@@ -50,24 +50,13 @@ def _seed_for(seed: int, k: int) -> int:
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
-def _linear_config(dataset, cfg: dict, k: int, seed: int):
-    return build_config(linear_aa.LinearAaConfig, cfg, "sweep config", k=k, seed=seed)
-
-
-def _deep_configs(dataset, cfg: dict, k: int, seed: int):
-    """The (arch, hyper) pair of one deep fit: the data gives input_dim and
-    the sweep gives k and the seed."""
-    check_keys(cfg, ("arch", "hyper"), "sweep config")
-    arch = build_config(deep_aa.DeepAaArch, cfg.get("arch", {}), "sweep config 'arch'",
-                        input_dim=dataset.x.shape[1], k=k)
-    hyper = build_config(deep_aa.DeepAaHyper, cfg.get("hyper", {}), "sweep config 'hyper'",
-                         seed=seed)
-    return arch, hyper
+def _linear_config(dataset, cfg: dict, k: int, seed: int, where: str):
+    return build_config(linear_aa.LinearAaConfig, cfg, where, k=k, seed=seed)
 
 
 def _linear_test_mse(dataset, k, cfg, seed):
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    cfg = _linear_config(dataset, cfg, k, _seed_for(seed, k))
+    cfg = _linear_config(dataset, cfg, k, _seed_for(seed, k), "sweep config")
     model = linear_aa.fit_linear_aa(dataset.x[train_idx], cfg)
     x_test = dataset.x[test_idx]
     a_test = linear_aa.transform(x_test, model.z)
@@ -76,11 +65,10 @@ def _linear_test_mse(dataset, k, cfg, seed):
 
 def _deep_test_mse(dataset, k, cfg, seed):
     train_idx, test_idx = split_train_test(dataset.x.shape[0], seed)
-    arch, hyper = _deep_configs(dataset, cfg, k, _seed_for(seed, k))
+    arch, hyper = deep_aa.fit_configs(dataset, cfg, k, _seed_for(seed, k), "sweep config")
     model = deep_aa.DeepAaModel(arch, seed=hyper.seed)
     labels = None if dataset.labels is None else dataset.labels[train_idx]
-    deep_aa.train(model, Dataset(x=dataset.x[train_idx], labels=labels),
-                  hyper)
+    deep_aa.train(model, Dataset(x=dataset.x[train_idx], labels=labels), hyper)
     x_test = dataset.x[test_idx]
     _, _, _, mu = model.encode(x_test)
     x_hat, _ = model.decode(mu)
@@ -116,9 +104,11 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
     A fit that raises an ArchlabError is recorded as a missing point, with
     the reason in ``failures``, rather than aborting the sweep; a dataset
     holding a non-finite entry or too small to hold out a test row, a k
-    below 1, a negative seed, a config key the fitter does not take, or a
-    value no k could use, is rejected before any fit runs. ``stops``
-    records how each linear fit stopped.
+    below 1, a negative seed, a config key the fitter does not take, a
+    value no k could use, or, for a deep arch with a side head, labels
+    that are missing or hold a non-finite entry on any row (held-out rows
+    included), is rejected before any fit runs. ``stops`` records how each
+    linear fit stopped.
 
     The fits run in ``workers`` forked worker processes, one per CPU in this
     process's affinity mask and at most one per k, largest k first, as the
@@ -141,17 +131,14 @@ def sweep(dataset, ks, fit: str = "linear", cfg: dict | None = None,
         raise DimensionError(f"a sweep needs at least 2 rows to hold out a test row, "
                              f"got {len(dataset.x)}")
     cfg = {} if cfg is None else cfg
-    if fit == "linear":
-        configs = _linear_config
-    elif fit == "deep":
-        configs = _deep_configs
-    else:
+    configs = {"linear": _linear_config, "deep": deep_aa.fit_configs}.get(fit)
+    if configs is None:
         raise ParameterError(f"unknown fitter '{fit}'")
     # a config key the fitter does not take (k and the seeds come from the
-    # sweep), or a value of the wrong type or range, is wrong for every k,
-    # so it is rejected before any fit; k=2 and seed 0 stand in for the
-    # sweep's, as every fitter takes them
-    configs(dataset, cfg, 2, 0)
+    # sweep), a value of the wrong type or range, or labels a side head
+    # cannot train on, is wrong for every k, so it is rejected before any
+    # fit; k=2 and seed 0 stand in for the sweep's, as every fitter takes them
+    configs(dataset, cfg, 2, 0, "sweep config")
 
     # imported here, as only a sweep needs them: the pool's modules add
     # about 2 MiB to every process that imports archlab

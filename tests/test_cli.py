@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from archlab import cli, datasets, deep_aa, linear_aa
+from archlab import cli, datasets, deep_aa, linear_aa, model_selection
 from archlab.numerics import rng_create
 
 from test_datasets import MALFORMED_MODELS, MISFIT_DEEP_MODELS, deep_model_payload
@@ -48,6 +50,25 @@ def write_non_finite_csv(tmp_path, column="x1"):
     path = tmp_path / "bad.csv"
     datasets.write_matrix_csv(rows, columns, str(path))
     return path
+
+
+def write_labelled_csv(tmp_path, labels="finite"):
+    """A 40-row dataset with a finite label column, a label column whose
+    first held-out row (in a sweep seeded 0) is NaN, or no label column."""
+    rng = rng_create(1)
+    x = rng.standard_normal((40, 2))
+    y = rng.uniform(size=40)
+    if labels == "nan":
+        y[model_selection.split_train_test(40, 0)[1][0]] = np.nan
+    path = tmp_path / "labelled.csv"
+    if labels is None:
+        datasets.write_matrix_csv(x, ["x0", "x1"], str(path))
+    else:
+        datasets.write_matrix_csv(np.column_stack([x, y]), ["x0", "x1", "label"], str(path))
+    return path
+
+
+SIDE_ARCH = {"encoder_hidden": [4], "decoder_hidden": [4], "side_hidden": [2]}
 
 
 class TestGenData:
@@ -313,6 +334,28 @@ class TestFitDeep:
         assert f"{name} contains non-finite entries" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_arch_side_head_trains_without_side_info(self, tmp_path):
+        # a fit trains a side head exactly when its arch has side_hidden
+        arch = tmp_path / "side.json"
+        arch.write_text(json.dumps(SIDE_ARCH))
+        out = tmp_path / "deep"
+        assert run("fit-deep", "--data", write_labelled_csv(tmp_path), "--k", 2,
+                   "--arch", arch, "--out", out) == cli.EXIT_OK
+        assert run("sample", "--model", out / "model.json", "--weights", "0.5,0.5",
+                   "--out", tmp_path / "s") == cli.EXIT_OK
+        _, header = datasets.read_matrix_csv(str(tmp_path / "s" / "sample.csv"))
+        assert header == ["x0", "x1", "label"]
+
+    def test_arch_side_head_without_labels_exits_config(self, tmp_path, capsys):
+        arch = tmp_path / "side.json"
+        arch.write_text(json.dumps(SIDE_ARCH))
+        out = tmp_path / "deep"
+        capsys.readouterr()
+        assert run("fit-deep", "--data", write_labelled_csv(tmp_path, labels=None), "--k", 2,
+                   "--arch", arch, "--out", out) == cli.EXIT_CONFIG
+        assert "field 'side_hidden'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_k_exits_config(self, tmp_path):
         data = gen_dataset(tmp_path)
         code = run("fit-deep", "--data", data, "--out", tmp_path / "o")
@@ -382,6 +425,22 @@ class TestSweep:
         assert run("sweep", "--data", write_non_finite_csv(tmp_path), "--ks", "1,2",
                    "--fit", fit, "--out", out) == cli.EXIT_NUMERICAL
         assert "X contains non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels, code, message", [
+        ("nan", cli.EXIT_NUMERICAL, "labels contains non-finite entries"),
+        (None, cli.EXIT_CONFIG, "the data has no labels"),
+    ], ids=["nan-label", "no-label-column"])
+    def test_side_head_labels_checked_before_any_fit(self, tmp_path, capsys, labels, code,
+                                                     message):
+        # the NaN is on a held-out row, which no fit trains on
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": SIDE_ARCH, "hyper": {"epochs": 1}}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("sweep", "--data", write_labelled_csv(tmp_path, labels), "--ks", "2,3",
+                   "--fit", "deep", "--config", config, "--out", out) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_ks_exits_config(self, tmp_path):
@@ -651,6 +710,30 @@ def test_mistyped_or_missing_config_field_exits_config(tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+# deep configs no fit can take, as (part, payload, the field the error
+# names); fit-deep reads each part from its own file, sweep from one object
+BAD_DEEP_CONFIGS = {
+    "unknown-arch-key": ("arch", {"hidden": [8]}, "hidden"),
+    "unknown-hyper-key": ("hyper", {"learning_rate": 0.01}, "learning_rate"),
+    "arch-k": ("arch", {"k": 3}, "k"),
+    "arch-input-dim": ("arch", {"input_dim": 4}, "input_dim"),
+    "hyper-seed": ("hyper", {"seed": 1}, "seed"),
+    "zero-width": ("arch", {"decoder_hidden": [8, 0]}, "decoder_hidden"),
+    "unknown-activation": ("arch", {"activation": "sigmoid"}, "activation"),
+}
+
+
+@pytest.mark.parametrize("command", ["fit-deep", "sweep --fit deep"])
+@pytest.mark.parametrize("case", BAD_DEEP_CONFIGS)
+def test_bad_deep_config_exits_config_in_both_commands(tmp_path, capsys, command, case):
+    part, payload, field = BAD_DEEP_CONFIGS[case]
+    option, payload = ((f"--{part}", payload) if command == "fit-deep"
+                       else ("--config", {part: payload}))
+    assert run_with_config(tmp_path, capsys, command, option, payload) == cli.EXIT_CONFIG
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"lr": -1.0}, "field 'lr' must be > 0"),
     ({"lr": float("nan")}, "field 'lr' must be a finite number"),
@@ -878,3 +961,27 @@ def test_sweep_outputs_do_not_depend_on_worker_count(tmp_path):
     for fit in sweeps:
         assert runs[fit, 1] == runs[fit, 2]
     assert len(runs["linear", 1][1]) == 4
+
+
+def test_readme_command_lines_parse():
+    # every archlab line of README.md's shell blocks, continuations joined,
+    # and every inline `<command> --flag`, fits the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    lines = [line for line in blocks.splitlines() if line.startswith("archlab ")]
+    flags = []  # (command, flag): argparse would take an abbreviated flag
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        flags += [(argv[0], a.split("=")[0]) for a in argv if a.startswith("--")]
+    assert {line.split()[1] for line in lines} == set(commands)
+    inline = [(c, f) for c, f in re.findall(r"`([a-z-]+) (--[a-z-]+)", readme) if c in commands]
+    assert inline
+    for command, flag in flags + inline:
+        assert flag in commands[command]._option_string_actions, f"`{command} {flag}`"

@@ -415,6 +415,36 @@ class TestGradientCheck:
             np.testing.assert_array_equal(got, want)
 
 
+class TestFitConfigs:
+    def test_data_gives_width_and_caller_k_and_seed(self):
+        ds = Dataset(x=np.zeros((10, 3)))
+        cfg = {"arch": {"encoder_hidden": [4]}, "hyper": {"epochs": 2}}
+        assert deep_aa.fit_configs(ds, cfg, 4, 7, "cfg") == (
+            DeepAaArch(input_dim=3, k=4, encoder_hidden=(4,)), DeepAaHyper(epochs=2, seed=7))
+        assert deep_aa.fit_configs(ds, {}, 2, 0, "cfg") == (
+            DeepAaArch(input_dim=3, k=2), DeepAaHyper())
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"archs": {}}, "unknown field 'archs' in cfg;"),
+        ({"arch": {"k": 3}}, "unknown field 'k' in cfg 'arch';"),
+        ({"hyper": {"seed": 1}}, "unknown field 'seed' in cfg 'hyper';"),
+    ])
+    def test_errors_name_the_config(self, cfg, message):
+        with pytest.raises(ParameterError, match=message):
+            deep_aa.fit_configs(Dataset(x=np.zeros((10, 3))), cfg, 2, 0, "cfg")
+
+    def test_labels_read_only_for_a_side_head(self):
+        y = np.linspace(0.0, 1.0, 10)
+        y[9] = np.nan
+        ds = Dataset(x=np.zeros((10, 3)), labels=y)
+        deep_aa.fit_configs(ds, {}, 2, 0, "cfg")
+        side = {"arch": {"side_hidden": [2]}}
+        with pytest.raises(NumericalError, match="labels contains non-finite entries"):
+            deep_aa.fit_configs(ds, side, 2, 0, "cfg")
+        with pytest.raises(ParameterError, match="field 'side_hidden'"):
+            deep_aa.fit_configs(Dataset(x=ds.x), side, 2, 0, "cfg")
+
+
 class TestTrain:
     def _dataset(self, n=200, p=4, seed=0, labels=False):
         rng = rng_create(seed)

@@ -104,6 +104,23 @@ class TestSweep:
         with pytest.raises(NumericalError, match="X contains non-finite entries"):
             model_selection.sweep(Dataset(x=x), [1, 2], fit=fit)
 
+    @pytest.mark.parametrize("labels, error, message", [
+        ("nan", NumericalError, "labels contains non-finite entries"),
+        (None, ParameterError, "field 'side_hidden' sets a side head"),
+    ], ids=["nan-label", "no-labels"])
+    def test_side_head_labels_rejected_before_any_fit(self, monkeypatch, labels, error,
+                                                      message):
+        def fitted(*args):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(model_selection, "_deep_test_mse", fitted)
+        ds = convex_dataset(n=40)
+        if labels == "nan":
+            y = np.linspace(0.0, 1.0, 40)
+            y[model_selection.split_train_test(40, 0)[1][0]] = np.nan  # a held-out row
+            ds = Dataset(x=ds.x, labels=y)
+        with pytest.raises(error, match=message):
+            model_selection.sweep(ds, [2, 3], fit="deep", cfg={"arch": {"side_hidden": [2]}})
+
     def test_stops_record_iterations_and_convergence(self):
         ds = convex_dataset(n=120)
         capped = model_selection.sweep(ds, [2, 3], fit="linear",
