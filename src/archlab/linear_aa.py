@@ -114,18 +114,19 @@ def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
     a = a.copy()  # transposed, so that reductions over atoms run along the fast axis
     gram, lin = z @ z.T, z @ x.T  # one column per row of X; half the gradient is G a - lin
     tol = _KKT_TOL * (np.einsum("ij,ij->i", x, x) + np.diag(gram).max())
-    # the rows not yet certified, and whether each is optimal on its support (a vertex is)
-    cols, stationary = np.arange(len(x)), np.count_nonzero(a, axis=0) == 1
+    # the working set: the rows not yet certified, their weights, their columns
+    # of lin and tol, and whether each is optimal on its support (a vertex is)
+    cols, w, stationary = np.arange(len(x)), a, np.count_nonzero(a, axis=0) == 1
     for rounds in range(_ROUNDS_PER_ATOM * len(z) + 1):
-        w = a[:, cols]
-        g = gram @ w - lin[:, cols]
+        g = gram @ w - lin
         keep = (np.abs(w.sum(axis=0) - 1.0) > 1e-12) | (
-            np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol[cols])
-        cols, w, g = cols[keep], w[:, keep], g[:, keep]
+            np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol)
+        cols, w, g, lin, tol, stationary = (
+            cols[keep], w[:, keep], g[:, keep], lin[:, keep], tol[keep], stationary[keep])
         if not len(cols) or rounds == _ROUNDS_PER_ATOM * len(z):
             break
         on = w > 0.0
-        add = np.flatnonzero(stationary[cols])
+        add = np.flatnonzero(stationary)
         on[np.argmin(np.where(on, np.inf, g)[:, add], axis=0), add] = True
         # s: the optimum on each support, from one KKT solve per distinct support
         s, keys = np.zeros(on.shape), np.packbits(on, axis=0)
@@ -136,7 +137,7 @@ def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
             kkt = np.ones((len(atoms) + 1,) * 2)
             kkt[:-1, :-1] = gram[np.ix_(atoms, atoms)]
             kkt[-1, -1] = 0.0
-            rhs = np.vstack([lin[np.ix_(atoms, cols[group])], np.ones(len(group))])
+            rhs = np.vstack([lin[np.ix_(atoms, group)], np.ones(len(group))])
             try:  # for nearly affinely dependent atoms LU's answer can solve nothing
                 sol = np.linalg.solve(kkt, rhs)
                 if np.abs(kkt @ sol - rhs).max() > 1e-8 * (np.abs(kkt).max() + np.abs(rhs).max()):
@@ -147,7 +148,7 @@ def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
         ratio = np.divide(w, w - s, out=np.full(s.shape, np.inf), where=s < 0.0)
         alpha = np.minimum(ratio.min(axis=0), 1.0)
         w = np.where(ratio <= alpha, 0.0, s - (1.0 - alpha) * (s - w))
-        a[:, cols], stationary[cols] = w, alpha == 1.0
+        a[:, cols], stationary = w, alpha == 1.0
     return a, cols
 
 
