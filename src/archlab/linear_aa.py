@@ -1,16 +1,18 @@
 """Linear archetypal analysis: X ~ A B X with row-stochastic A and B.
 
 The solver alternates between the two blocks of simplex least-squares
-problems, forming no n x n matrix. With the archetypes Z = B X fixed, the
-A-step solves every row of A exactly, from the current A, by the active-set
-method that ``transform`` runs. With A fixed, the rows of B are updated one
-after another (Gauss-Seidel): each row, the weights of one archetype over the
-rows of X, takes up to ten pairwise Frank-Wolfe steps (Lacoste-Julien & Jaggi
-2015), stopping once no pair of atoms descends. Each outer iteration then
-extrapolates (A, B) along its last step and keeps that point only if its RSS
-is lower (Ang & Gillis 2019); beta grows from 1 by half per kept point, up to
-4, and falls back to 1 when one is not kept. Every iterate stays feasible and
-the RSS is non-increasing.
+problems. With the archetypes Z = B X fixed, the A-step solves every row of A
+exactly, from the current A, by the active-set method that ``transform``
+runs. With A fixed, the rows of B are updated one after another
+(Gauss-Seidel): each row, the weights of one archetype over the rows of X,
+takes up to ten pairwise Frank-Wolfe steps (Lacoste-Julien & Jaggi 2015)
+towards its least-squares point, stopping once no pair of atoms descends.
+Each outer iteration then extrapolates (A, B) along its last step and keeps
+that point only if its RSS is lower (Ang & Gillis 2019); beta grows from 1 by
+half per kept point, up to 4, and falls back to 1 when one is not kept. Every
+iterate stays feasible and the RSS is non-increasing. Targets and RSS come
+from A'X, A'A and X Z' (as in PCHA, Morup & Hansen 2012), so that past its
+set-up a fit forms no n x n and no n x p array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, check_fields
+from .errors import (DimensionError, NumericalError, ParameterError, check_fields, check_items,
+                     check_value)
 from .numerics import as_array, rng_create
 
 _INNER_FW_STEPS = 10
@@ -72,15 +75,17 @@ class LinearAaModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LinearAaModel":
-        """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p), and
-        NumericalError if any of them holds a non-finite number."""
+        """Raises ShapeError unless A is (n, k), B (k, n) and Z (k, p),
+        NumericalError if any of them holds a non-finite number, and
+        ParameterError on a field of any other wrong kind."""
         a = as_array(d["a"], "A", (None, None))
         b, z = as_array(d["b"], "B", a.shape[::-1]), as_array(d["z"], "Z", (a.shape[1], None))
-        return LinearAaModel(
-            a=a, b=b, z=z, rss=float(d["rss"]),
-            iterations=int(d["iterations"]), converged=bool(d["converged"]),
-            rss_history=list(d["rss_history"]),
-        )
+        check_value("rss", d["rss"], float)
+        check_value("iterations", d["iterations"], int)
+        if not isinstance(d["converged"], bool):
+            raise ParameterError(f"field 'converged' must be a boolean, got {d['converged']!r}")
+        history = list(check_items("rss_history", d["rss_history"], float))
+        return LinearAaModel(a, b, z, float(d["rss"]), d["iterations"], d["converged"], history)
 
 
 def _fw_row(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
@@ -89,9 +94,9 @@ def _fw_row(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     minimizes ||target - w @ dictionary||^2. Each step moves weight from the
     support atom with the largest gradient to the atom with the smallest
     (lowest index on ties), up to all of it."""
-    w = w.copy()
+    w, residual = w.copy(), w @ dictionary - target
     for _ in range(steps):  # grad is half the true gradient
-        grad = (w @ dictionary - target) @ dictionary.T
+        grad = dictionary @ residual
         j, a = np.argmin(grad), np.argmax(np.where(w > 0.0, grad, -np.inf))
         slope = grad[j] - grad[a]
         if not slope < 0.0:  # no pair descends, so no later step moves either
@@ -101,6 +106,7 @@ def _fw_row(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
         gamma = min(w[a], -slope / curvature) if curvature > 0.0 else w[a]
         w[a] -= gamma
         w[j] += gamma
+        residual += gamma * move
     return w
 
 
@@ -158,6 +164,14 @@ def _extrapolate(new: np.ndarray, old: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _rss(x: np.ndarray, a: np.ndarray, z: np.ndarray, mu: np.ndarray, xc_sq: float) -> float:
+    """||X - A Z||^2 in Gram form about X's column means ``mu``, which A's unit row
+    sums leave unchanged, so an offset in X costs no digits; xc_sq is ||X - mu||^2."""
+    zc = z - mu
+    cross = np.einsum("ij,ij->", a, x @ zc.T - mu @ zc.T)  # <A, (X - mu) Zc'>
+    return xc_sq - 2.0 * float(cross) + float(np.einsum("ij,ij->", a.T @ a, zc @ zc.T))
+
+
 def furthest_sum_indices(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Greedy furthest-sum selection of k well-spread row indices.
 
@@ -190,24 +204,27 @@ def fit_linear_aa(x, cfg: LinearAaConfig) -> LinearAaModel:
     b[np.arange(cfg.k), np.sort(furthest_sum_indices(x, cfg.k, cfg.seed))] = 1.0
     a = np.full((n, cfg.k), 1.0 / cfg.k)
     z = b @ x
-    rss_prev = float(np.sum((x - a @ z) ** 2))
+    mu = x.mean(axis=0)
+    centre = mu, float(np.einsum("ij,ij->", *[x - mu] * 2))  # from one n x p temporary
+    rss_prev = _rss(x, a, z, *centre)
     history = [rss_prev]
     converged, beta = False, _BETA_START
     for _ in range(cfg.max_outer_iters):
         a_old, b_old = a, b.copy()  # the B-step writes rows of b in place
         a = _active_set(a.T, x, z)[0].T
+        xta, ata = a.T @ x, a.T @ a
         for j in range(cfg.k):
-            weight = float(np.einsum("i,i->", a[:, j], a[:, j]))  # BLAS's dot splits by threads
-            if weight == 0.0:  # archetype j unused by A; objective is flat in B[j]
+            if ata[j, j] == 0.0:  # archetype j unused by A; objective is flat in B[j]
                 continue
-            target = (x - a @ z).T @ a[:, j] / weight + z[j]
+            # z_j's least-squares point with A fixed: z_j + (X - A Z)' a_j / |a_j|^2
+            target = (xta[j] - ata[j] @ z) / ata[j, j] + z[j]
             b[j] = _fw_row(b[j], x, target, _INNER_FW_STEPS)
             z[j] = b[j] @ x
         z = b @ x
-        rss_now = float(np.sum((x - a @ z) ** 2))
+        rss_now = _rss(x, a, z, *centre)
         a_ex, b_ex = _extrapolate(a, a_old, beta), _extrapolate(b, b_old, beta)
         z_ex = b_ex @ x
-        rss_ex = float(np.sum((x - a_ex @ z_ex) ** 2))
+        rss_ex = _rss(x, a_ex, z_ex, *centre)
         if rss_ex < rss_now:
             a, b, z, rss_now = a_ex, b_ex, z_ex, rss_ex
             beta = min(_BETA_GROWTH * beta, _BETA_MAX)

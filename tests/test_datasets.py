@@ -610,6 +610,19 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError, match=re.escape(str(path))):
             datasets.read_model(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("converged", "false"),  # bool("false") is True
+        ("rss_history", "abc"),  # list("abc") is ['a', 'b', 'c']
+        ("iterations", 2.9),  # int(2.9) is 2
+        ("rss", True),
+        ("rss_history", [0, None]),
+    ])
+    def test_mistyped_linear_field_is_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        path.write_text(model_text(kind="linear_aa", **{**LINEAR_FIELDS, field: value}))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}.*field '{field}'"):
+            datasets.read_model(str(path))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archlab import linear_aa, numerics
+from archlab import datasets, linear_aa, numerics
+from archlab.datasets import SyntheticSpec
 from archlab.errors import DimensionError, ParameterError, ShapeError
 from archlab.numerics import rng_create
 
@@ -386,6 +387,28 @@ class TestFit:
         ]
         assert all(b <= a * (1 + 1e-6) for a, b in zip(rss, rss[1:]))
 
+    @pytest.mark.parametrize("offset", [1e2, 1e4])
+    def test_rss_is_exact_on_data_with_an_offset(self, offset):
+        # c01's seed-5 data moved away from the origin: the RSS is computed in
+        # Gram form, where an uncentred ||X||^2 would cancel away its digits
+        spec = SyntheticSpec(n=10_000, p=8, k=3, sigma2=0.05, embed_seed=105, sample_seed=205)
+        x = datasets.make_synthetic(spec).x + offset
+        model = linear_aa.fit_linear_aa(x, linear_aa.LinearAaConfig(k=3, seed=5))
+        recomputed = float(np.sum((x - model.a @ model.z) ** 2))
+        assert abs(model.rss - recomputed) <= 1e-9 * recomputed
+        hist = np.array(model.rss_history)
+        assert np.diff(hist).max() <= 1e-12 * hist[0]
+
+    def test_peak_memory_is_bounded_by_the_data(self):
+        x = rng_create(5).standard_normal((4000, 64))
+        tracemalloc.start()
+        try:
+            linear_aa.fit_linear_aa(x, linear_aa.LinearAaConfig(k=5, max_outer_iters=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(DimensionError):
             linear_aa.fit_linear_aa(np.zeros((2, 2)), linear_aa.LinearAaConfig(k=3))
@@ -546,6 +569,16 @@ class TestTransform:
         np.testing.assert_array_equal(a, np.eye(3)[[0, 0, 1, 1]])  # each at its nearest vertex
         with pytest.warns(UserWarning, match=r"24 rows .* among them \[0, 1, .*, 9\]$"):
             linear_aa.transform(np.tile([0.6, 0.3], (24, 1)), z)  # a long list is cut at 10
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_rows_do_not_interact(self, k):
+        # the batched A-step keeps a shrinking working set of rows; each row's
+        # weights must be those it gets alone
+        rng = rng_create(30 + k)
+        z = rng.standard_normal((k, 4))
+        x = 1.5 * rng.standard_normal((500, 4))
+        alone = np.vstack([linear_aa.transform(row[None], z) for row in x])
+        np.testing.assert_allclose(linear_aa.transform(x, z), alone, rtol=0.0, atol=1e-12)
 
     def test_empty_inputs(self):
         assert linear_aa.transform(np.ones((0, 3)), np.ones((4, 3))).shape == (0, 4)
