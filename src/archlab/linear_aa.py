@@ -95,18 +95,19 @@ def _fw_row(w: np.ndarray, dictionary: np.ndarray, target: np.ndarray,
     support atom with the largest gradient to the atom with the smallest
     (lowest index on ties), up to all of it."""
     w, residual = w.copy(), w @ dictionary - target
+    support = np.flatnonzero(w)  # ascending, so the away atom is the lowest index on ties
     for _ in range(steps):  # grad is half the true gradient
         grad = dictionary @ residual
-        j, a = np.argmin(grad), np.argmax(np.where(w > 0.0, grad, -np.inf))
+        j, a = np.argmin(grad), support[np.argmax(grad[support])]
         slope = grad[j] - grad[a]
         if not slope < 0.0:  # no pair descends, so no later step moves either
             break
         move = dictionary[j] - dictionary[a]
         curvature = np.einsum("i,i->", move, move)
         gamma = min(w[a], -slope / curvature) if curvature > 0.0 else w[a]
-        w[a] -= gamma
-        w[j] += gamma
+        w[a], w[j] = w[a] - gamma, w[j] + gamma
         residual += gamma * move
+        support = [i for i in sorted({*support, j}) if w[i] > 0.0]
     return w
 
 
@@ -127,12 +128,11 @@ def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
         g = gram @ w - lin
         keep = (np.abs(w.sum(axis=0) - 1.0) > 1e-12) | (
             np.where(w > 0.0, g, -np.inf).max(axis=0) - g.min(axis=0) > tol)
-        cols, w, g, lin, tol, stationary = (
-            cols[keep], w[:, keep], g[:, keep], lin[:, keep], tol[keep], stationary[keep])
+        cols, tol, stationary, keep = cols[keep], tol[keep], stationary[keep], np.flatnonzero(keep)
+        w, g, lin = (np.take(v, keep, axis=1) for v in (w, g, lin))  # faster than v[:, keep]
         if not len(cols) or rounds == _ROUNDS_PER_ATOM * len(z):
             break
-        on = w > 0.0
-        add = np.flatnonzero(stationary)
+        on, add = w > 0.0, np.flatnonzero(stationary)
         on[np.argmin(np.where(on, np.inf, g)[:, add], axis=0), add] = True
         # s: the optimum on each support, from one KKT solve per distinct support
         s, keys = np.zeros(on.shape), np.packbits(on, axis=0)
@@ -143,7 +143,7 @@ def _active_set(a: np.ndarray, x: np.ndarray, z: np.ndarray):
             kkt = np.ones((len(atoms) + 1,) * 2)
             kkt[:-1, :-1] = gram[np.ix_(atoms, atoms)]
             kkt[-1, -1] = 0.0
-            rhs = np.vstack([lin[np.ix_(atoms, group)], np.ones(len(group))])
+            rhs = np.vstack([np.take(lin, group, axis=1)[atoms], np.ones(len(group))])
             try:  # for nearly affinely dependent atoms LU's answer can solve nothing
                 sol = np.linalg.solve(kkt, rhs)
                 if np.abs(kkt @ sol - rhs).max() > 1e-8 * (np.abs(kkt).max() + np.abs(rhs).max()):
@@ -168,7 +168,7 @@ def _rss(x: np.ndarray, a: np.ndarray, z: np.ndarray, mu: np.ndarray, xc_sq: flo
     """||X - A Z||^2 in Gram form about X's column means ``mu``, which A's unit row
     sums leave unchanged, so an offset in X costs no digits; xc_sq is ||X - mu||^2."""
     zc = z - mu
-    cross = np.einsum("ij,ij->", a, x @ zc.T - mu @ zc.T)  # <A, (X - mu) Zc'>
+    cross = np.einsum("ij,ij->", a.T, zc @ x.T - (zc @ mu)[:, None])  # <A, (X - mu) Zc'>
     return xc_sq - 2.0 * float(cross) + float(np.einsum("ij,ij->", a.T @ a, zc @ zc.T))
 
 
