@@ -10,11 +10,6 @@ MARGIN = 60
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _escape(text: str) -> str:
-    """``text`` with &, < and > as entities, for an element's content."""
-    return escape(text, quote=False)
-
-
 def _ticks(lo: float, hi: float, count: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -72,7 +67,7 @@ class SvgChart:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-size="16">{_escape(self.title)}</text>',
+            f'font-size="16">{escape(self.title, quote=False)}</text>',
         ]
         # axes
         parts.append(
@@ -99,11 +94,11 @@ class SvgChart:
             )
         parts.append(
             f'<text x="{WIDTH / 2}" y="{HEIGHT - 16}" text-anchor="middle" '
-            f'font-size="12">{_escape(self.xlabel)}</text>'
+            f'font-size="12">{escape(self.xlabel, quote=False)}</text>'
         )
         parts.append(
             f'<text x="18" y="{HEIGHT / 2}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 18 {HEIGHT / 2})">{_escape(self.ylabel)}</text>'
+            f'transform="rotate(-90 18 {HEIGHT / 2})">{escape(self.ylabel, quote=False)}</text>'
         )
         # series
         for idx, (name, kind, xs, ys) in enumerate(self.series):
@@ -125,7 +120,7 @@ class SvgChart:
                 f'<rect x="{WIDTH - MARGIN - 110}" y="{ly - 8}" width="10" '
                 f'height="10" fill="{color}"/>'
                 f'<text x="{WIDTH - MARGIN - 95}" y="{ly + 1}" '
-                f'font-size="11">{_escape(name)}</text>'
+                f'font-size="11">{escape(name, quote=False)}</text>'
             )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

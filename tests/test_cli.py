@@ -603,6 +603,15 @@ class TestPlot:
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
 
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        csv = tmp_path / "odd.csv"
+        csv.write_text('"a<&>",b"q"\n0,1\n2,3\n')
+        out = tmp_path / "odd.svg"
+        assert run("plot", "--in", csv, "--kind", "line", "--out", out) == cli.EXIT_OK
+        assert ">a&lt;&amp;&gt;</text>" in out.read_text()  # quotes need no entity in text
+        labels = [t.text for t in ET.parse(out).getroot().iter() if t.tag.endswith("text")]
+        assert "a<&>" in labels and 'b"q"' in labels
+
     def test_scatter_with_tag_column(self, tmp_path):
         csv = tmp_path / "scatter.csv"
         csv.write_text("pc1,pc2,tag\n0,0,0\n1,1,0\n2,0,1\n")
@@ -871,6 +880,17 @@ def archlab_process(*argv, threads=None, cpus=None):
     return subprocess.run([sys.executable, "-m", "archlab.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=300,
                           preexec_fn=pin)
+
+
+def test_import_loads_no_network_modules():
+    # every command pays for what importing the CLI loads; xml.sax, once used
+    # for escaping SVG text, loads urllib, http.client, ssl and email
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, archlab.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]", done.stderr
 
 
 def test_module_entry_point(tmp_path):

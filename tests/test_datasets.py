@@ -616,7 +616,8 @@ class TestModelRoundTrip:
         ("iterations", 2.9),  # int(2.9) is 2
         ("rss", True),
         ("rss_history", [0, None]),
-    ])
+    ], ids=["converged-string", "history-string", "iterations-fraction", "rss-bool",
+            "history-null-item"])
     def test_mistyped_linear_field_is_rejected(self, tmp_path, field, value):
         path = tmp_path / "model.json"
         path.write_text(model_text(kind="linear_aa", **{**LINEAR_FIELDS, field: value}))
